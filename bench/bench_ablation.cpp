@@ -33,8 +33,8 @@ void ablation_tracks() {
     Orthogonal2Layer cons = layout::layout_kary(c.k, c.n);
     // Same graph and placement, tracks re-assigned greedily per band.
     Orthogonal2Layer greedy = orthogonal_greedy(cons.graph, cons.place);
-    const bench::Measured mc = bench::measure(cons, 4, /*verify=*/false);
-    const bench::Measured mg = bench::measure(greedy, 4, /*verify=*/false);
+    const bench::Measured mc = bench::measure(cons, 4);
+    const bench::Measured mg = bench::measure(greedy, 4);
     t.begin_row().cell(std::uint64_t(c.k)).cell(std::uint64_t(c.n))
         .cell(std::uint64_t(std::max(cons.max_row_tracks(), cons.max_col_tracks())))
         .cell(std::uint64_t(std::max(greedy.max_row_tracks(), greedy.max_col_tracks())))
@@ -56,9 +56,9 @@ void ablation_ordering() {
   };
   for (const Cfg c : {Cfg{6, 3}, Cfg{8, 2}, Cfg{5, 3}}) {
     const bench::Measured nat =
-        bench::measure(layout::layout_kary(c.k, c.n), 4, false);
+        bench::measure(layout::layout_kary(c.k, c.n), 4);
     const bench::Measured fld = bench::measure(
-        layout::layout_kary(c.k, c.n, Ordering::kFolded), 4, false);
+        layout::layout_kary(c.k, c.n, Ordering::kFolded), 4);
     t.begin_row().cell(std::uint64_t(c.k)).cell(std::uint64_t(c.n))
         .cell(std::uint64_t(nat.metrics.max_wire_length))
         .cell(std::uint64_t(fld.metrics.max_wire_length))
@@ -73,8 +73,8 @@ void ablation_extras() {
   std::cout << "\n=== A3: packed vs reserved extras (folded hypercube n=7, "
                "L=4) ===\n";
   Orthogonal2Layer o = layout::layout_folded_hypercube(7);
-  const bench::Measured packed = bench::measure(o, 4, false, true);
-  const bench::Measured reserved = bench::measure(o, 4, false, false);
+  const bench::Measured packed = bench::measure(o, 4);
+  const bench::Measured reserved = bench::measure(o, 4, false);
   std::cout << "packed area " << packed.metrics.wiring_area
             << " vs reserved " << reserved.metrics.wiring_area << " (gain "
             << double(reserved.metrics.wiring_area) /
@@ -108,8 +108,8 @@ void ablation_star() {
     Orthogonal2Layer st = layout::layout_star_structured(n);
     Orthogonal2Layer gen = layout::layout_generic(topo::make_star_graph(n));
     for (std::uint32_t L : {2u, 4u, 8u}) {
-      const bench::Measured ms = bench::measure(st, L, false);
-      const bench::Measured mg = bench::measure(gen, L, false);
+      const bench::Measured ms = bench::measure(st, L);
+      const bench::Measured mg = bench::measure(gen, L);
       t.begin_row().cell(std::uint64_t(n))
           .cell(std::uint64_t(st.graph.num_nodes())).cell(std::uint64_t(L))
           .cell(std::uint64_t(ms.metrics.wiring_area))

@@ -25,7 +25,7 @@ void print_tables() {
     const std::uint64_t N = o.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u, 8u}) {
       const bench::Measured m = bench::measure(
-          o, L, /*verify=*/N <= 512, /*pack_extras=*/true, "butterfly");
+          o, L, /*pack_extras=*/true, "butterfly");
       const double pa = formulas::butterfly_area(N, L);
       const double pw = formulas::butterfly_max_wire(N, L);
       t.begin_row().cell(std::uint64_t(k)).cell(N).cell(std::uint64_t(L))
@@ -42,7 +42,7 @@ void print_tables() {
   analysis::Table s({"k", "b", "extras", "area(meas,L=4)"});
   for (std::uint32_t b : {1u, 2u, 3u}) {
     Orthogonal2Layer o = layout::layout_butterfly(5, b);
-    const bench::Measured m = bench::measure(o, 4, /*verify=*/false);
+    const bench::Measured m = bench::measure(o, 4);
     s.begin_row().cell(std::uint64_t(5)).cell(std::uint64_t(b))
         .cell(std::uint64_t(o.extras.size()))
         .cell(std::uint64_t(m.metrics.wiring_area));

@@ -35,8 +35,7 @@ void print_tables() {
     Orthogonal2Layer o = layout::layout_generic(std::move(c.g));
     std::uint64_t base = 0;
     for (std::uint32_t L : {2u, 4u, 8u}) {
-      const bool verify = o.graph.num_nodes() <= 150;
-      const bench::Measured m = bench::measure(o, L, verify);
+      const bench::Measured m = bench::measure(o, L);
       if (L == 2) base = m.metrics.wiring_area;
       t.begin_row().cell(c.name).cell(std::uint64_t(o.graph.num_nodes()))
           .cell(std::uint64_t(o.graph.num_edges())).cell(std::uint64_t(L))
@@ -66,8 +65,8 @@ void print_tables() {
     Graph copy = f.g;
     Orthogonal2Layer cl = layout::layout_perm_clustered(std::move(copy), 5);
     Orthogonal2Layer gen = layout::layout_generic(std::move(f.g));
-    const bench::Measured mc = bench::measure(cl, 4, false);
-    const bench::Measured mg = bench::measure(gen, 4, false);
+    const bench::Measured mc = bench::measure(cl, 4);
+    const bench::Measured mg = bench::measure(gen, 4);
     s.begin_row().cell(f.name).cell(std::uint64_t(cl.graph.num_nodes()))
         .cell(std::uint64_t(mc.metrics.wiring_area))
         .cell(std::uint64_t(mg.metrics.wiring_area))

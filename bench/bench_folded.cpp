@@ -22,10 +22,9 @@ void print_tables() {
     Orthogonal2Layer fh = layout::layout_folded_hypercube(n);
     const std::uint64_t N = fh.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u}) {
-      const bool verify = N <= 256;
-      const bench::Measured res = bench::measure(fh, L, verify, /*pack=*/false);
+      const bench::Measured res = bench::measure(fh, L, /*pack=*/false);
       const bench::Measured pk =
-          bench::measure(fh, L, verify, /*pack=*/true, "folded");
+          bench::measure(fh, L, /*pack=*/true, "folded");
       const double pa = formulas::folded_hypercube_area(N, L);
       t.begin_row().cell("folded-HC").cell(std::uint64_t(n)).cell(N)
           .cell(std::uint64_t(L)).cell(pa, 0)
@@ -39,9 +38,8 @@ void print_tables() {
     Orthogonal2Layer ec = layout::layout_enhanced_cube(n, 2026);
     const std::uint64_t N = ec.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u}) {
-      const bool verify = N <= 256;
-      const bench::Measured res = bench::measure(ec, L, verify, false);
-      const bench::Measured pk = bench::measure(ec, L, verify, true);
+      const bench::Measured res = bench::measure(ec, L, false);
+      const bench::Measured pk = bench::measure(ec, L);
       const double pa = formulas::enhanced_cube_area(N, L);
       t.begin_row().cell("enhanced").cell(std::uint64_t(n)).cell(N)
           .cell(std::uint64_t(L)).cell(pa, 0)
@@ -62,9 +60,9 @@ void print_tables() {
     Orthogonal2Layer fh = layout::layout_folded_hypercube(n);
     Orthogonal2Layer ec = layout::layout_enhanced_cube(n, 2026);
     for (std::uint32_t L : {2u, 4u}) {
-      const bench::Measured mh = bench::measure(hc, L, false);
-      const bench::Measured mf = bench::measure(fh, L, false, false);
-      const bench::Measured me = bench::measure(ec, L, false, false);
+      const bench::Measured mh = bench::measure(hc, L);
+      const bench::Measured mf = bench::measure(fh, L, false);
+      const bench::Measured me = bench::measure(ec, L, false);
       r.begin_row().cell(std::uint64_t(n)).cell(std::uint64_t(L))
           .cell(std::uint64_t(mh.metrics.wiring_area))
           .cell(std::uint64_t(mf.metrics.wiring_area))

@@ -26,7 +26,7 @@ void print_tables() {
     const std::uint64_t N = o.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u, 8u}) {
       const bench::Measured m =
-          bench::measure(o, L, /*verify=*/true, /*pack_extras=*/true, "ghc");
+          bench::measure(o, L, /*pack_extras=*/true, "ghc");
       const double pa = formulas::ghc_area(N, c.r, L);
       const double pw = formulas::ghc_max_wire(N, c.r, L);
       t.begin_row().cell(std::uint64_t(c.r)).cell(std::uint64_t(c.n)).cell(N)

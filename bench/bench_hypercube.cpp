@@ -23,9 +23,8 @@ void print_tables() {
     for (std::uint32_t L : {2u, 4u, 8u}) {
       // Full geometric verification is quadratic in wires; skip it for the
       // largest instance to keep the bench quick (it is covered by tests).
-      const bool verify = N <= 512;
       const bench::Measured m =
-          bench::measure(o, L, verify, /*pack_extras=*/true, "hypercube");
+          bench::measure(o, L, /*pack_extras=*/true, "hypercube");
       const double pa = formulas::hypercube_area(N, L);
       const double pw = formulas::hypercube_max_wire(N, L);
       t.begin_row().cell(std::uint64_t(n)).cell(N).cell(std::uint64_t(L))
@@ -59,7 +58,7 @@ void BM_RealizeAndCheckHypercube(benchmark::State& state) {
   Orthogonal2Layer o =
       layout::layout_hypercube(static_cast<std::uint32_t>(state.range(0)));
   for (auto _ : state) {
-    const bench::Measured m = bench::measure(o, 8, /*verify=*/true);
+    const bench::Measured m = bench::measure(o, 8);
     benchmark::DoNotOptimize(m.metrics.area);
   }
 }

@@ -29,8 +29,8 @@ void print_tables() {
     Orthogonal2Layer isn = layout::layout_isn(c.l, c.r, 2);
     Orthogonal2Layer ctl = layout::layout_isn(c.l, c.r, 4);
     for (std::uint32_t L : {2u, 4u}) {
-      const bench::Measured mi = bench::measure(isn, L, /*verify=*/false);
-      const bench::Measured mc = bench::measure(ctl, L, /*verify=*/false);
+      const bench::Measured mi = bench::measure(isn, L);
+      const bench::Measured mc = bench::measure(ctl, L);
       m.begin_row().cell(std::uint64_t(c.l)).cell(std::uint64_t(c.r))
           .cell(std::uint64_t(isn.graph.num_nodes())).cell(std::uint64_t(L))
           .cell(std::uint64_t(mi.metrics.wiring_area))
@@ -56,8 +56,8 @@ void print_tables() {
     Orthogonal2Layer isn = layout::layout_isn(pr.isn_levels, pr.isn_r);
     Orthogonal2Layer bf = layout::layout_butterfly(pr.bf_k);
     for (std::uint32_t L : {2u, 4u}) {
-      const bench::Measured mi = bench::measure(isn, L, /*verify=*/false);
-      const bench::Measured mb = bench::measure(bf, L, /*verify=*/false);
+      const bench::Measured mi = bench::measure(isn, L);
+      const bench::Measured mb = bench::measure(bf, L);
       t.begin_row()
           .cell("ISN(" + std::to_string(pr.isn_levels) + "," +
                 std::to_string(pr.isn_r) + ") vs BF(" +

@@ -26,7 +26,7 @@ void print_tables() {
     const std::uint64_t N = o.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u, 8u}) {
       const bench::Measured m =
-          bench::measure(o, L, /*verify=*/true, /*pack_extras=*/true, "kary");
+          bench::measure(o, L, /*pack_extras=*/true, "kary");
       const double pa = formulas::kary_area(N, c.k, L);
       const double pv = formulas::kary_volume(N, c.k, L);
       t.begin_row().cell(std::uint64_t(c.k)).cell(std::uint64_t(c.n)).cell(N)

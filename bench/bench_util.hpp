@@ -247,12 +247,13 @@ inline void apply_wall_stats(BenchRecord& rec, std::vector<double> samples) {
 /// Realize at L layers, verify the geometry, and compute metrics. The timed
 /// region (realize + compute_metrics) runs config().warmup discarded
 /// iterations then config().repeats measured ones; the returned layout and
-/// metrics are from the final iteration. Throws if the checker rejects the
-/// layout — a bench must never report numbers from invalid geometry. When
+/// metrics are from the final iteration, which is always checked (outside
+/// the timed region). Throws if the checker rejects the layout — a bench
+/// must never report numbers from invalid geometry. When
 /// `family` is non-null the repeat statistics are recorded into the
 /// consolidated BENCH_mlvl.json baseline.
 inline Measured measure(const Orthogonal2Layer& o, std::uint32_t L,
-                        bool verify = true, bool pack_extras = true,
+                        bool pack_extras = true,
                         const char* family = nullptr) {
   const BenchConfig& cfg = config();
   const RealizeOptions opts{.L = L, .node_size = 0,
@@ -276,10 +277,9 @@ inline Measured measure(const Orthogonal2Layer& o, std::uint32_t L,
     samples.push_back(
         std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  if (verify) {
-    CheckResult res = check_layout(o.graph, r.ml);
-    if (!res.ok) throw std::runtime_error("bench: invalid layout: " + res.error);
-  }
+  const CheckReport res =
+      Checker(o.graph, r.ml.geom, {.via_rule = r.ml.required_rule}).check();
+  if (!res.ok) throw std::runtime_error("bench: invalid layout: " + res.error);
   if (family != nullptr) {
     BenchRecord rec;
     rec.family = family;

@@ -269,8 +269,10 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   const CheckReport report = checker.check(sink);
   publish_sink_totals("doctor", sink);
   if (copt.loud(2))
-    std::cout << "doctor: scanned " << report.bands_checked << " band(s), "
-              << report.points_examined << " point claim(s)\n";
+    std::cout << "doctor: checked "
+              << loaded->geom.boxes.size() + loaded->geom.segs.size() +
+                     loaded->geom.vias.size()
+              << " record(s) in " << report.wall_ms << " ms\n";
   if (sink.empty()) {
     if (copt.loud())
       std::cout << "doctor: layout valid (" << report.points
@@ -533,9 +535,11 @@ int run_layout(const std::vector<std::string>& args, const CommonOptions& copt,
                       : "stacked-via rule")
               << ")\n";
   if (check && copt.loud(2))
-    std::cout << "checker: " << result.check_report.bands_checked
-              << " band(s) scanned across " << result.check_report.bands
-              << "\n";
+    std::cout << "checker: "
+              << ml.geom.boxes.size() + ml.geom.segs.size() +
+                     ml.geom.vias.size()
+              << " record(s) checked in " << result.check_report.wall_ms
+              << " ms\n";
 
   if (copt.obs_enabled()) {
     // Profiled pipeline extras: the fold baseline the paper compares against

@@ -29,7 +29,7 @@ struct LayoutRequest {
   FamilySpec spec;
   RealizeOptions options{};  ///< options.L validated to [2, 1024]
   bool check = true;         ///< run the geometric checker
-  /// Checker configuration (threads, band sizing). `via_rule` is ignored:
+  /// Checker configuration (worker threads). `via_rule` is ignored:
   /// the realized layout's own required rule is always enforced.
   CheckOptions check_options{};
   /// Optional cooperative budget (non-owning; may be shared across
@@ -47,7 +47,7 @@ struct LayoutResult {
   LayoutMetrics metrics;
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
-  /// Full banded checker report (default-initialized if unchecked).
+  /// Full checker report (default-initialized if unchecked).
   CheckReport check_report;
   std::uint64_t check_points = 0;  ///< == check_report.points (legacy field)
 };

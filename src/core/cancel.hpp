@@ -145,7 +145,7 @@ void poll_cancel_slow(const char* phase);
 
 /// The token installed on this thread, or nullptr. Thread-locals do not
 /// inherit across std::thread: a phase that spawns its own worker pool (the
-/// band-parallel checker) captures this in the spawning thread and installs
+/// multi-threaded checker) captures this in the spawning thread and installs
 /// it on each worker via CancelScope, so a sweep/job deadline still reaches
 /// the inner loops.
 [[nodiscard]] inline const CancelToken* current_cancel_token() {

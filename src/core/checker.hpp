@@ -2,7 +2,7 @@
 //
 // The multilayer grid model (Sec. 2.2) requires the routed edges to be node-
 // and edge-disjoint paths in the L-layer 3-D grid, with network nodes on
-// layer 1. The checker enforces, point by point:
+// layer 1. The checker enforces, on the grid points the records claim:
 //   * no grid point is used by wires of two different edges (same-layer
 //     crossings are therefore impossible; different-layer crossings never
 //     share a point);
@@ -18,16 +18,13 @@
 // of a horizontal and a vertical wire is two different layers and therefore
 // point-disjoint, while overlaps and knock-knees would collide.
 //
-// Occupancy model (DESIGN.md §7.13): the layout's rows are partitioned into
-// y-bands; each band owns a dense structure-of-arrays occupancy slab indexed
-// by (row, x, layer), so collision detection is one array probe per claimed
-// point instead of a hash insert. Bands are independent and are checked in
-// parallel; per-band results are merged in band-index order, so the
-// diagnostic sequence is byte-identical for any worker count. A `Checker`
-// built with `CheckOptions::incremental` retains the per-band results:
-// `mark_dirty()` taints the bands a geometry edit touched and `recheck()`
-// re-verifies only those, serving every clean band from cache — the repair
-// loop's re-verification cost drops from whole-layout to dirty-region.
+// Record model (DESIGN.md §7.13): the checker never expands a wire into grid
+// points. Runs are grouped by grid line and swept as intervals, H×V
+// crossings come from an orthogonal-segment sweep per layer, vias are
+// probed as at most L single points, and connectivity is a union-find over
+// each edge's records. Work grows with records (plus reported overlaps),
+// not with wire length or area. The diagnostic sequence is deterministic
+// and byte-identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -45,51 +42,27 @@ namespace mlvl {
 struct CheckOptions {
   /// Via occupancy model the layout must satisfy.
   ViaRule via_rule = ViaRule::kBlocking;
-  /// Band-check worker threads; 1 = serial (the default: the sweep engine
-  /// already parallelizes across jobs), 0 = hardware concurrency. Diagnostic
-  /// order and point counts are identical for every value.
+  /// Worker threads for the line-group and per-edge phases; 1 = serial
+  /// (the default: the sweep engine already parallelizes across jobs),
+  /// 0 = hardware concurrency. Output is identical for every value.
   std::uint32_t threads = 1;
-  /// Retain per-band state after check() so mark_dirty()/recheck() can
-  /// re-verify only dirty bands. Off, recheck() degrades to a full check().
-  bool incremental = false;
-  /// Grid rows per y-band; 0 = auto (targets ~64 bands, shrunk further if
-  /// needed to keep the dense per-band occupancy slab within budget).
-  std::uint32_t band_rows = 0;
 };
 
-/// Outcome of one check()/recheck() pass.
+/// Outcome of one check() pass.
 struct CheckReport {
   bool ok = false;
   std::string error;  ///< first violation, rendered; empty when ok
-  /// Distinct occupied (grid point, edge) claims across the whole layout —
-  /// clean bands contribute their cached counts on a recheck.
+  /// Distinct occupied (grid point, edge) claims across the whole layout.
   std::uint64_t points = 0;
-  /// Point claims actually expanded and probed *this pass* (dirty bands
-  /// plus re-verified edges). The incremental win is this being a small
-  /// fraction of `points`.
-  std::uint64_t points_examined = 0;
-  std::uint32_t bands = 0;          ///< total y-bands in the grid
-  std::uint32_t bands_checked = 0;  ///< bands scanned this pass
-  std::uint32_t bands_skipped = 0;  ///< clean bands served from cache
-  std::uint32_t edges_checked = 0;  ///< edges whose connectivity was re-run
-  double wall_ms = 0;               ///< wall time of this pass
+  double wall_ms = 0;  ///< wall time of this pass
 
   explicit operator bool() const { return ok; }
 };
 
-/// Inclusive y-row interval touched by a geometry edit. Callers must cover
-/// both the *old* and the *new* extent of every changed record (a wire that
-/// moved dirties where it was and where it now is).
-struct DirtyRegion {
-  std::uint32_t y1 = 0;
-  std::uint32_t y2 = 0;
-};
-
-/// Band-sharded occupancy checker over one (graph, geometry) pair. The
-/// referenced graph and geometry must outlive the Checker; the geometry may
-/// be edited between passes as long as every edit is reported through
-/// mark_dirty() before the next recheck(). Not thread-safe itself (one
-/// checking pass at a time); a pass may use internal worker threads per
+/// Record-level checker over one (graph, geometry) pair. The referenced
+/// graph and geometry must outlive the Checker; the geometry may be edited
+/// between passes (each pass reads it afresh). Not thread-safe itself (one
+/// pass at a time); a pass may use internal worker threads per
 /// `CheckOptions::threads`.
 class Checker {
  public:
@@ -98,81 +71,30 @@ class Checker {
   Checker(const Checker&) = delete;
   Checker& operator=(const Checker&) = delete;
 
-  /// Full pass: every band scanned, every edge's connectivity verified.
-  /// Violations append to `sink` in deterministic order (frame scan in
-  /// record order, then band results in band-index order, then connectivity
-  /// in edge-id order); producers stop once the sink is full unless the
-  /// checker is incremental (which always completes its caches). Use the
-  /// same sink capacity across a Checker's passes — cached bands remember
-  /// at most the first capacity violations each.
+  /// Full pass. Violations append to `sink` in deterministic order: the
+  /// frame scan in record order, then occupancy violations sorted by
+  /// (layer, y, x, edge, edge2), then connectivity in edge-id order.
+  /// Producers stop once the sink is full.
   CheckReport check(DiagnosticSink& sink);
   /// First-failure convenience: capacity-1 sink, report carries the error.
   CheckReport check();
 
-  /// Incremental pass: rescans only dirty bands and re-verifies only edges
-  /// whose rows intersect them; everything else is served from the retained
-  /// state. Falls back to a full check() when the checker is not
-  /// incremental, no full pass has completed yet, or the grid dimensions
-  /// changed. The merged diagnostic sequence, verdict, and `points` are
-  /// identical to a fresh full check of the current geometry.
-  CheckReport recheck(DiagnosticSink& sink);
-  CheckReport recheck();
-
-  /// Taint every band intersecting `region` (rows clamped to the grid, ends
-  /// given in either order). No-op until a full check() has built the bands.
-  void mark_dirty(const DirtyRegion& region);
-  void mark_all_dirty();
-
-  [[nodiscard]] std::uint32_t num_bands() const { return num_bands_; }
-  [[nodiscard]] std::uint32_t rows_per_band() const { return rows_per_band_; }
   [[nodiscard]] const CheckOptions& options() const { return opt_; }
 
  private:
-  /// Retained per-band result: the violations found in the band (bounded by
-  /// the pass's sink capacity) and its distinct claim count. Stored by
-  /// value, never as indices into the geometry — the geometry may be
-  /// resized or reordered between passes.
-  struct BandCache {
-    std::vector<Diagnostic> diags;
-    std::uint64_t points = 0;
-    bool dirty = true;
-  };
-  /// Retained per-edge connectivity result plus the band interval its
-  /// records spanned when last verified (used to decide staleness).
-  struct EdgeCache {
-    std::vector<Diagnostic> diags;  // at most one entry
-    std::uint32_t band_lo = 0;
-    std::uint32_t band_hi = 0;
-    bool routed = false;
-    bool frame_ok = true;
-  };
-
-  CheckReport run(DiagnosticSink& sink, bool incremental_pass);
-
   const Graph& g_;
   const LayoutGeometry& geom_;
   CheckOptions opt_;
-
-  std::uint32_t rows_per_band_ = 1;
-  std::uint32_t num_bands_ = 1;
-  bool dense_ = true;   ///< dense slab fits budget (else sorted fallback)
-  bool built_ = false;  ///< a completed full pass populated the caches
-  std::uint32_t built_width_ = 0;
-  std::uint32_t built_height_ = 0;
-  std::uint32_t built_layers_ = 0;
-  std::vector<BandCache> bands_;
-  std::vector<EdgeCache> edges_;
 };
 
 // ---- Legacy free-function API (deprecated) --------------------------------
-// Thin wrappers over a throwaway non-incremental Checker, kept so existing
-// callers and tests keep compiling. New code should construct a Checker:
-// it exposes threads, incrementality, and the banded CheckReport.
+// Thin wrappers over a throwaway Checker, kept so existing callers and
+// tests keep compiling. New code should construct a Checker.
 
 struct CheckResult {
   bool ok = false;
   std::string error;         ///< empty when ok
-  std::uint64_t points = 0;  ///< occupied grid points examined
+  std::uint64_t points = 0;  ///< distinct (grid point, edge) claims
 
   explicit operator bool() const { return ok; }
 };

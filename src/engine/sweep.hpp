@@ -104,7 +104,7 @@ struct JobResult {
 struct SweepOptions {
   unsigned threads = 0;  ///< worker count; 0 = hardware concurrency
   bool check = true;     ///< run the geometric checker per job
-  /// Band-check workers per job (CheckOptions::threads). Default 1: the
+  /// Checker workers per job (CheckOptions::threads). Default 1: the
   /// sweep already parallelizes across jobs; raise it only for single-job
   /// batches on huge layouts.
   std::uint32_t check_threads = 1;

@@ -180,36 +180,22 @@ class Router {
 };
 
 /// Delete wire records the checker would reject outright (broken frame) and
-/// collect the owning edges for re-routing. Every deleted record dirties its
-/// y-extent so the next incremental recheck re-scans the bands it vacated.
-void sanitize(const Graph& g, LayoutGeometry& geom, std::set<EdgeId>& rip,
-              Checker& checker) {
+/// collect the owning edges for re-routing.
+void sanitize(const Graph& g, LayoutGeometry& geom, std::set<EdgeId>& rip) {
   auto bad_seg = [&](const WireSeg& s) {
-    if (s.edge >= g.num_edges()) {  // ownerless: delete, no rip
-      checker.mark_dirty({s.y1, s.y2});
-      return true;
-    }
+    if (s.edge >= g.num_edges()) return true;  // ownerless: delete, no rip
     const bool broken = s.x1 > s.x2 || s.y1 > s.y2 ||
                         (s.x1 != s.x2 && s.y1 != s.y2) ||
                         s.x2 >= geom.width || s.y2 >= geom.height ||
                         s.layer < 1 || s.layer > geom.num_layers;
-    if (broken) {
-      rip.insert(s.edge);
-      checker.mark_dirty({s.y1, s.y2});  // normalizes inverted extents
-    }
+    if (broken) rip.insert(s.edge);
     return broken;
   };
   auto bad_via = [&](const Via& v) {
-    if (v.edge >= g.num_edges()) {
-      checker.mark_dirty({v.y, v.y});
-      return true;
-    }
+    if (v.edge >= g.num_edges()) return true;
     const bool broken = v.z1 < 1 || v.z2 > geom.num_layers || v.z1 > v.z2 ||
                         v.x >= geom.width || v.y >= geom.height;
-    if (broken) {
-      rip.insert(v.edge);
-      checker.mark_dirty({v.y, v.y});
-    }
+    if (broken) rip.insert(v.edge);
     return broken;
   };
   std::erase_if(geom.segs, bad_seg);
@@ -224,25 +210,14 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
   RepairReport rep;
   std::set<EdgeId> ever_failed;
 
-  // One incremental checker across all passes: pass 1 pays the full scan,
-  // every later pass re-verifies only the bands the repair touched.
+  // Each pass re-reads the edited geometry through the same checker.
   Checker checker(g, geom,
-                  {.via_rule = opt.rule,
-                   .threads = opt.check_threads,
-                   .incremental = true});
-  // Dirty the extent of every record the repair adds for edge `e` after
-  // `seg_base`/`via_base`, so the routed path is re-verified next pass.
-  auto mark_new_records = [&](std::size_t seg_base, std::size_t via_base) {
-    for (std::size_t i = seg_base; i < geom.segs.size(); ++i)
-      checker.mark_dirty({geom.segs[i].y1, geom.segs[i].y2});
-    for (std::size_t i = via_base; i < geom.vias.size(); ++i)
-      checker.mark_dirty({geom.vias[i].y, geom.vias[i].y});
-  };
+                  {.via_rule = opt.rule, .threads = opt.check_threads});
 
   for (std::uint32_t pass = 1; pass <= opt.max_passes; ++pass) {
     rep.passes = pass;
     DiagnosticSink sink(opt.max_diagnostics);
-    checker.recheck(sink);
+    checker.check(sink);
     if (sink.empty()) {
       rep.ok = true;
       rep.remaining.clear();
@@ -258,7 +233,7 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
     }
 
     std::set<EdgeId> rip;
-    sanitize(g, geom, rip, checker);
+    sanitize(g, geom, rip);
     for (const Diagnostic& d : sink.diagnostics()) {
       if (d.edge != kNoId && d.edge < g.num_edges()) rip.insert(d.edge);
       if (d.edge2 != kNoId && d.edge2 < g.num_edges()) rip.insert(d.edge2);
@@ -272,26 +247,15 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
     }
 
     for (EdgeId e : rip) {
-      std::erase_if(geom.segs, [&](const WireSeg& s) {
-        if (s.edge != e) return false;
-        checker.mark_dirty({s.y1, s.y2});
-        return true;
-      });
-      std::erase_if(geom.vias, [&](const Via& v) {
-        if (v.edge != e) return false;
-        checker.mark_dirty({v.y, v.y});
-        return true;
-      });
+      std::erase_if(geom.segs, [&](const WireSeg& s) { return s.edge == e; });
+      std::erase_if(geom.vias, [&](const Via& v) { return v.edge == e; });
       rep.ripped.push_back(e);
       obs::counter_add("repair.ripups");
     }
 
     Router router(g, geom, opt);
     for (EdgeId e : rip) {
-      const std::size_t seg_base = geom.segs.size();
-      const std::size_t via_base = geom.vias.size();
       if (router.route(e, geom)) {
-        mark_new_records(seg_base, via_base);
         rep.rerouted.push_back(e);
         obs::counter_add("repair.rerouted");
       } else {
@@ -302,7 +266,7 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
   }
 
   DiagnosticSink final_sink(opt.max_diagnostics);
-  checker.recheck(final_sink);
+  checker.check(final_sink);
   rep.remaining = final_sink.diagnostics();
   rep.ok = rep.remaining.empty();
   return rep;

@@ -11,10 +11,8 @@
 // repaired by re-routing and are reported honestly as unrepairable, as are
 // edges for which no free path exists.
 //
-// Re-verification is incremental: one `Checker` is kept across passes, every
-// record the repair deletes or routes marks its y-extent dirty, and each
-// pass after the first re-scans only the dirty bands (DESIGN.md §7.13) —
-// repair cost tracks the damage, not the layout size.
+// Each pass re-verifies the whole layout with the record-level `Checker`
+// (DESIGN.md §7.13), whose cost tracks the record count, not the area.
 #pragma once
 
 #include <cstdint>

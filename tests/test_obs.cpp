@@ -6,6 +6,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -174,6 +175,47 @@ TEST(Trace, ChromeTraceIsWellFormedJson) {
   }
   EXPECT_TRUE(process_named);
   EXPECT_TRUE(thread_named);
+}
+
+/// The checker's three sub-phases nest directly under its `check` span and
+/// carry their work counters, so a profile can report items/s per phase.
+TEST(Obs, CheckSubPhasesNestUnderCheckWithRecordCounts) {
+  Orthogonal2Layer o = layout::layout_hypercube(4);
+  MultilayerLayout ml = realize(o, {.L = 4});
+  obs::TraceSession session;
+  session.install();
+  const CheckReport rep =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
+  obs::TraceSession::uninstall();
+  ASSERT_TRUE(rep.ok) << rep.error;
+
+  const std::vector<obs::TraceEvent> events = session.events();
+  auto find = [&](std::string_view name) -> const obs::TraceEvent* {
+    for (const obs::TraceEvent& ev : events)
+      if (name == ev.name) return &ev;
+    return nullptr;
+  };
+  auto arg = [](const obs::TraceEvent& ev, std::string_view key) {
+    for (std::uint32_t i = 0; i < ev.arg_count; ++i)
+      if (key == ev.args[i].key) return std::stoull(ev.args[i].value);
+    ADD_FAILURE() << ev.name << " lacks arg " << key;
+    return 0ull;
+  };
+  const obs::TraceEvent* check = find("check");
+  ASSERT_NE(check, nullptr);
+  for (const char* phase :
+       {"check.frame", "check.occupancy", "check.connectivity"}) {
+    const obs::TraceEvent* ev = find(phase);
+    ASSERT_NE(ev, nullptr) << "missing span: " << phase;
+    EXPECT_EQ(ev->depth, check->depth + 1) << phase;
+    EXPECT_GE(ev->ts_us, check->ts_us) << phase;
+    EXPECT_LE(ev->ts_us + ev->dur_us, check->ts_us + check->dur_us) << phase;
+    EXPECT_GT(arg(*ev, "records"), 0u) << phase;
+  }
+  EXPECT_EQ(arg(*find("check.frame"), "records"),
+            ml.geom.boxes.size() + ml.geom.segs.size() + ml.geom.vias.size());
+  EXPECT_EQ(arg(*find("check.occupancy"), "points"), rep.points);
+  EXPECT_EQ(arg(*find("check.connectivity"), "edges"), o.graph.num_edges());
 }
 
 TEST(Trace, SpanArgsAreRecordedBoundedAndTruncated) {
@@ -453,7 +495,8 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
         "bench-diff <baseline.json> <current.json>", "--max-regress",
         "--noise-floor", "--json", "--save-baseline", "--metrics-interval",
         "profile <trace.json>", "--report <file>", "--top <N>",
-        "--check-threads <N>", "--via-rule <rule>", "checker options",
+        "--check-threads <N>", "checker workers over line groups",
+        "--via-rule <rule>", "checker options",
         "exit codes: 0 valid, 1 invalid, 2 parse error, 3 usage"})
     EXPECT_NE(usage.find(needle), std::string::npos)
         << "usage text lost: " << needle;
