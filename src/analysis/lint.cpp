@@ -42,6 +42,23 @@ constexpr LintRuleInfo kRegistry[] = {
 static_assert(std::size(kRegistry) == kNumLintRules,
               "registry must cover every LintRule");
 
+/// Each rule's trace span, `lint.<rule-id>`, in LintRule order (span names
+/// are stored by pointer, so they are literals).
+constexpr const char* kSpans[] = {
+    "lint.layer-parity",
+    "lint.turn-via-group",
+    "lint.via-span-wide",
+    "lint.thompson-knock-knee",
+    "lint.terminal-riser-offtrack",
+    "lint.zero-length-seg",
+    "lint.mergeable-runs",
+    "lint.redundant-via",
+    "lint.dead-track",
+    "lint.bbox-slack",
+};
+static_assert(std::size(kSpans) == kNumLintRules,
+              "every LintRule needs a trace span");
+
 }  // namespace
 
 std::span<const LintRuleInfo> lint_registry() { return kRegistry; }
@@ -113,10 +130,15 @@ LintStats lint_layout(const Graph& g, const LayoutGeometry& geom,
                       const LintConfig& cfg, DiagnosticSink& sink) {
   obs::Span span("lint");
   LintStats stats;
+  detail::LintShared shared(geom);
+  const std::size_t records =
+      geom.boxes.size() + geom.segs.size() + geom.vias.size();
   for (const LintRuleInfo& info : kRegistry) {
     const std::size_t idx = static_cast<std::size_t>(info.rule);
     if (!cfg.enabled[idx]) continue;
     if (sink.full()) break;
+    obs::Span rule_span(kSpans[idx]);
+    rule_span.arg("records", records);
     const LintEmit emit = [&](Diagnostic d) {
       d.code = info.code;
       d.severity = cfg.severity[idx];
@@ -129,7 +151,12 @@ LintStats lint_layout(const Graph& g, const LayoutGeometry& geom,
         ++stats.reported;
       }
     };
-    detail::run_lint_rule(info.rule, g, geom, cfg, emit);
+    detail::run_lint_rule(info.rule, g, geom, cfg, shared, emit);
+    rule_span.arg("findings", stats.per_rule[idx]);
+  }
+  if (const BoxIndex* boxes = shared.built_boxes()) {
+    obs::counter_add("lint.index.built", boxes->built());
+    obs::counter_add("lint.index.probes", boxes->probes());
   }
   obs::counter_add("lint.findings", stats.reported);
   obs::counter_add("lint.suppressed", stats.suppressed);

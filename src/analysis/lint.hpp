@@ -29,6 +29,7 @@
 
 #include "core/diagnostics.hpp"
 #include "core/geometry.hpp"
+#include "core/geometry_index.hpp"
 #include "core/graph.hpp"
 #include "core/multilayer.hpp"
 
@@ -130,8 +131,40 @@ namespace detail {
 /// to this callback; the driver (lint.cpp) stamps code/severity and applies
 /// the enable/baseline policy.
 using LintEmit = std::function<void(Diagnostic)>;
+
+/// Content occupancy per row and column, plus the content extent. Clamps to
+/// the declared dimensions so corrupt records cannot index out of range.
+struct Occupancy {
+  std::vector<bool> col, row;  ///< any geometry in column x / row y
+  std::uint32_t minx = 0, maxx = 0, miny = 0, maxy = 0;
+  bool any = false;
+
+  explicit Occupancy(const LayoutGeometry& geom);
+};
+
+/// State several rules of one lint pass share, each part built on first use:
+/// the node-box index (knock-knee, terminal-riser) and the row/column
+/// occupancy (dead-track, bbox-slack).
+class LintShared {
+ public:
+  explicit LintShared(const LayoutGeometry& geom) : geom_(geom) {}
+
+  const BoxIndex& boxes();
+  const Occupancy& occupancy();
+  /// The box index if a rule built it, else nullptr.
+  [[nodiscard]] const BoxIndex* built_boxes() const {
+    return boxes_ ? &*boxes_ : nullptr;
+  }
+
+ private:
+  const LayoutGeometry& geom_;
+  std::optional<BoxIndex> boxes_;
+  std::optional<Occupancy> occupancy_;
+};
+
 void run_lint_rule(LintRule r, const Graph& g, const LayoutGeometry& geom,
-                   const LintConfig& cfg, const LintEmit& emit);
+                   const LintConfig& cfg, LintShared& shared,
+                   const LintEmit& emit);
 }  // namespace detail
 
 }  // namespace mlvl::analysis

@@ -98,13 +98,10 @@ void via_span_wide(const Graph&, const LayoutGeometry& geom,
 // knock-knee. The checker cannot see it — each edge owns a different layer
 // at that point — but physically both wires turn on the same grid vertex.
 // Run endpoints inside node boxes are terminals, not bends.
-void thompson_knock_knee(const Graph&, const LayoutGeometry& geom,
-                         const LintConfig&, const LintEmit& emit) {
+void thompson_knock_knee(const LayoutGeometry& geom, LintShared& shared,
+                         const LintEmit& emit) {
   if (geom.num_layers != 2) return;
-  auto in_some_box = [&](std::uint32_t x, std::uint32_t y) {
-    return std::any_of(geom.boxes.begin(), geom.boxes.end(),
-                       [&](const NodeBox& b) { return b.contains(x, y); });
-  };
+  const BoxIndex& boxes = shared.boxes();
   struct Bend {
     std::uint64_t key;  ///< packed (x, y)
     EdgeId edge;
@@ -114,7 +111,7 @@ void thompson_knock_knee(const Graph&, const LayoutGeometry& geom,
   for (const WireSeg& s : geom.segs) {
     if (!is_run(s)) continue;
     for (auto [x, y] : {std::pair{s.x1, s.y1}, std::pair{s.x2, s.y2}}) {
-      if (in_some_box(x, y)) continue;
+      if (boxes.covers(x, y)) continue;
       bends.push_back({grid::key3(x, y, 0), s.edge, s.layer});
     }
   }
@@ -138,23 +135,25 @@ void thompson_knock_knee(const Graph&, const LayoutGeometry& geom,
 // A riser that drops into the *interior* of a node box missed the box's
 // perimeter terminals: wires enter boxes at the boundary track positions the
 // realize() terminal allocator hands out, never through the middle.
-void terminal_riser_offtrack(const Graph&, const LayoutGeometry& geom,
-                             const LintConfig&, const LintEmit& emit) {
+// The first box in record order that qualifies is reported.
+void terminal_riser_offtrack(const LayoutGeometry& geom, LintShared& shared,
+                             const LintEmit& emit) {
+  const BoxIndex& boxes = shared.boxes();
   for (const Via& v : geom.vias) {
     if (v.z2 < v.z1) continue;
-    for (const NodeBox& b : geom.boxes) {
-      if (b.w <= 2 || b.h <= 2) continue;  // no interior to land in
-      if (b.layer < v.z1 || b.layer > v.z2) continue;
-      if (!b.contains(v.x, v.y)) continue;
-      const bool interior = v.x > b.x && v.x + 1 < b.x + b.w && v.y > b.y &&
-                            v.y + 1 < b.y + b.h;
-      if (!interior) continue;
-      Diagnostic d = at(v.x, v.y, b.layer);
-      d.edge = v.edge;
-      d.node = b.node;
-      emit(std::move(d));
-      break;
-    }
+    const std::uint32_t hit = boxes.find(v.x, v.y, [&](std::uint32_t i) {
+      const NodeBox& b = geom.boxes[i];
+      if (b.w <= 2 || b.h <= 2) return false;  // no interior to land in
+      if (b.layer < v.z1 || b.layer > v.z2) return false;
+      return v.x > b.x && v.x + 1 < b.x + b.w && v.y > b.y &&
+             v.y + 1 < b.y + b.h;
+    });
+    if (hit == BoxIndex::kNone) continue;
+    const NodeBox& b = geom.boxes[hit];
+    Diagnostic d = at(v.x, v.y, b.layer);
+    d.edge = v.edge;
+    d.node = b.node;
+    emit(std::move(d));
   }
 }
 
@@ -247,38 +246,6 @@ void redundant_via(const Graph&, const LayoutGeometry& geom,
   }
 }
 
-/// Content occupancy per row and column, plus the content extent. Clamps to
-/// the declared dimensions so corrupt records cannot index out of range.
-struct Occupancy {
-  std::vector<bool> col, row;  ///< any geometry in column x / row y
-  std::uint32_t minx = 0, maxx = 0, miny = 0, maxy = 0;
-  bool any = false;
-
-  explicit Occupancy(const LayoutGeometry& geom)
-      : col(geom.width), row(geom.height) {
-    auto mark = [&](std::uint32_t x1, std::uint32_t y1, std::uint32_t x2,
-                    std::uint32_t y2) {
-      if (geom.width == 0 || geom.height == 0 || x1 > x2 || y1 > y2) return;
-      x2 = std::min<std::uint32_t>(x2, geom.width - 1);
-      y2 = std::min<std::uint32_t>(y2, geom.height - 1);
-      if (x1 > x2 || y1 > y2) return;
-      if (!any) {
-        minx = x1, maxx = x2, miny = y1, maxy = y2;
-        any = true;
-      } else {
-        minx = std::min(minx, x1), maxx = std::max(maxx, x2);
-        miny = std::min(miny, y1), maxy = std::max(maxy, y2);
-      }
-      for (std::uint32_t x = x1; x <= x2; ++x) col[x] = true;
-      for (std::uint32_t y = y1; y <= y2; ++y) row[y] = true;
-    };
-    for (const NodeBox& b : geom.boxes)
-      if (b.w > 0 && b.h > 0) mark(b.x, b.y, b.x + b.w - 1, b.y + b.h - 1);
-    for (const WireSeg& s : geom.segs) mark(s.x1, s.y1, s.x2, s.y2);
-    for (const Via& v : geom.vias) mark(v.x, v.y, v.x, v.y);
-  }
-};
-
 // Refuse to allocate per-row/column state for frames the checker would
 // reject outright (coord-range); those layouts are the doctor's business.
 bool frame_too_large(const LayoutGeometry& geom) {
@@ -288,10 +255,10 @@ bool frame_too_large(const LayoutGeometry& geom) {
 // A row or column strictly inside the content extent that holds no geometry
 // at all is a wasted track: the layout could be compacted through it.
 // Contiguous dead rows/columns are reported as one finding.
-void dead_track(const Graph&, const LayoutGeometry& geom, const LintConfig&,
+void dead_track(const LayoutGeometry& geom, LintShared& shared,
                 const LintEmit& emit) {
   if (frame_too_large(geom)) return;
-  const Occupancy occ(geom);
+  const Occupancy& occ = shared.occupancy();
   if (!occ.any) return;
   auto report_gaps = [&](const std::vector<bool>& used, std::uint32_t lo,
                          std::uint32_t hi, bool is_col) {
@@ -316,10 +283,10 @@ void dead_track(const Graph&, const LayoutGeometry& geom, const LintConfig&,
 
 // The declared width/height must hug the content: no blank margin before the
 // first occupied row/column or after the last one.
-void bbox_slack(const Graph&, const LayoutGeometry& geom, const LintConfig&,
+void bbox_slack(const LayoutGeometry& geom, LintShared& shared,
                 const LintEmit& emit) {
   if (frame_too_large(geom)) return;
-  const Occupancy occ(geom);
+  const Occupancy& occ = shared.occupancy();
   if (!occ.any) return;
   std::string slack;
   auto add = [&](const char* side, std::uint64_t n) {
@@ -342,21 +309,69 @@ void bbox_slack(const Graph&, const LayoutGeometry& geom, const LintConfig&,
 
 }  // namespace
 
+// Each record adds its span to a difference array per axis, so the cost is
+// O(records + width + height), not the summed record lengths.
+Occupancy::Occupancy(const LayoutGeometry& geom)
+    : col(geom.width), row(geom.height) {
+  std::vector<std::uint32_t> col_d(std::size_t{geom.width} + 1),
+      row_d(std::size_t{geom.height} + 1);
+  auto mark = [&](std::uint32_t x1, std::uint32_t y1, std::uint32_t x2,
+                  std::uint32_t y2) {
+    if (geom.width == 0 || geom.height == 0 || x1 > x2 || y1 > y2) return;
+    x2 = std::min<std::uint32_t>(x2, geom.width - 1);
+    y2 = std::min<std::uint32_t>(y2, geom.height - 1);
+    if (x1 > x2 || y1 > y2) return;
+    if (!any) {
+      minx = x1, maxx = x2, miny = y1, maxy = y2;
+      any = true;
+    } else {
+      minx = std::min(minx, x1), maxx = std::max(maxx, x2);
+      miny = std::min(miny, y1), maxy = std::max(maxy, y2);
+    }
+    ++col_d[x1], --col_d[std::size_t{x2} + 1];
+    ++row_d[y1], --row_d[std::size_t{y2} + 1];
+  };
+  for (const NodeBox& b : geom.boxes)
+    if (b.w > 0 && b.h > 0) mark(b.x, b.y, b.x + b.w - 1, b.y + b.h - 1);
+  for (const WireSeg& s : geom.segs) mark(s.x1, s.y1, s.x2, s.y2);
+  for (const Via& v : geom.vias) mark(v.x, v.y, v.x, v.y);
+  // The differences wrap below zero; the running sums, counts of the spans
+  // open at i, do not.
+  auto settle = [](const std::vector<std::uint32_t>& d,
+                   std::vector<bool>& used) {
+    std::uint32_t open = 0;
+    for (std::size_t i = 0; i < used.size(); ++i) used[i] = (open += d[i]) != 0;
+  };
+  settle(col_d, col);
+  settle(row_d, row);
+}
+
+const BoxIndex& LintShared::boxes() {
+  if (!boxes_) boxes_.emplace(geom_.boxes);
+  return *boxes_;
+}
+
+const Occupancy& LintShared::occupancy() {
+  if (!occupancy_) occupancy_.emplace(geom_);
+  return *occupancy_;
+}
+
 void run_lint_rule(LintRule r, const Graph& g, const LayoutGeometry& geom,
-                   const LintConfig& cfg, const LintEmit& emit) {
+                   const LintConfig& cfg, LintShared& shared,
+                   const LintEmit& emit) {
   switch (r) {
     case LintRule::kLayerParity: return layer_parity(g, geom, cfg, emit);
     case LintRule::kTurnViaGroup: return turn_via_group(g, geom, cfg, emit);
     case LintRule::kViaSpanWide: return via_span_wide(g, geom, cfg, emit);
     case LintRule::kThompsonKnockKnee:
-      return thompson_knock_knee(g, geom, cfg, emit);
+      return thompson_knock_knee(geom, shared, emit);
     case LintRule::kTerminalRiserOfftrack:
-      return terminal_riser_offtrack(g, geom, cfg, emit);
+      return terminal_riser_offtrack(geom, shared, emit);
     case LintRule::kZeroLengthSeg: return zero_length_seg(g, geom, cfg, emit);
     case LintRule::kMergeableRuns: return mergeable_runs(g, geom, cfg, emit);
     case LintRule::kRedundantVia: return redundant_via(g, geom, cfg, emit);
-    case LintRule::kDeadTrack: return dead_track(g, geom, cfg, emit);
-    case LintRule::kBboxSlack: return bbox_slack(g, geom, cfg, emit);
+    case LintRule::kDeadTrack: return dead_track(geom, shared, emit);
+    case LintRule::kBboxSlack: return bbox_slack(geom, shared, emit);
   }
 }
 

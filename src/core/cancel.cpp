@@ -3,7 +3,7 @@
 namespace mlvl {
 namespace detail {
 
-thread_local const CancelToken* tl_cancel = nullptr;
+constinit thread_local const CancelToken* tl_cancel = nullptr;
 namespace {
 /// Per-thread checkpoint counter; the clock is polled when it wraps a stride.
 thread_local std::uint32_t tl_polls = 0;

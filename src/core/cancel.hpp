@@ -131,7 +131,11 @@ class CancelToken {
 };
 
 namespace detail {
-extern thread_local const CancelToken* tl_cancel;
+/// constinit: the token needs no dynamic initialization, so every file that
+/// reads or writes it touches the thread-local slot directly instead of
+/// through a lazy-initialization wrapper (under UBSan, stores through that
+/// wrapper on worker threads were reported as stores to a null pointer).
+extern constinit thread_local const CancelToken* tl_cancel;
 /// Clock polls happen every kPollStride checkpoint calls.
 inline constexpr std::uint32_t kPollStride = 256;
 /// Out-of-line slow path: stride bookkeeping + throw on a tripped token.

@@ -13,41 +13,48 @@ namespace {
 
 // Line-oriented scanner with one-line pushback, so a reader can stop at the
 // first tag it does not own and leave the stream (and the line count) for the
-// next section. Seeking to the remembered position needs a seekable stream,
-// which both file and string streams provide.
+// next section. The current line and its tokens live in reused buffers, so
+// scanning allocates nothing per line; unread() steps the stream back over
+// the line by a relative seek, which both file and string streams provide.
 struct Scanner {
   std::istream& is;
   std::uint32_t line;
-  std::istream::pos_type mark{};
+  std::string text{};                  ///< the current line
+  std::vector<std::string_view> tk{};  ///< its whitespace-separated tokens
+  bool newline = false;                ///< the current line ended in '\n'
 
-  bool next(std::string& out) {
-    mark = is.tellg();
-    if (!std::getline(is, out)) return false;
+  bool next() {
+    if (!std::getline(is, text)) return false;
+    newline = !is.eof();
     ++line;
+    tokenize();
     return true;
   }
   void unread() {
     is.clear();
-    is.seekg(mark);
+    is.seekg(-static_cast<std::streamoff>(text.size() + (newline ? 1 : 0)),
+             std::ios::cur);
     --line;
+  }
+
+ private:
+  void tokenize() {
+    tk.clear();
+    const std::string_view s = text;
+    auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
+    std::size_t i = 0;
+    while (i < s.size()) {
+      while (i < s.size() && blank(s[i])) ++i;
+      std::size_t j = i;
+      while (j < s.size() && !blank(s[j])) ++j;
+      if (j > i) tk.push_back(s.substr(i, j - i));
+      i = j;
+    }
   }
 };
 
-std::vector<std::string> tokens(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && (s[i] == ' ' || s[i] == '\t' || s[i] == '\r')) ++i;
-    std::size_t j = i;
-    while (j < s.size() && s[j] != ' ' && s[j] != '\t' && s[j] != '\r') ++j;
-    if (j > i) out.push_back(s.substr(i, j - i));
-    i = j;
-  }
-  return out;
-}
-
 template <typename U>
-bool parse_uint(const std::string& t, U& out) {
+bool parse_uint(std::string_view t, U& out) {
   auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
   return ec == std::errc{} && p == t.data() + t.size();
 }
@@ -88,15 +95,14 @@ void write_geometry(std::ostream& os, const LayoutGeometry& geom) {
 std::optional<Graph> read_graph(std::istream& is, DiagnosticSink* sink,
                                 std::uint32_t* line_io) {
   Scanner sc{is, line_io ? *line_io : 0};
-  std::string ln;
-  std::vector<std::string> tk;
+  const std::string& ln = sc.text;
+  const std::vector<std::string_view>& tk = sc.tk;
   do {  // header, skipping blank lines
-    if (!sc.next(ln)) {
+    if (!sc.next()) {
       report(sink, Code::kParseBadHeader, sc.line, "missing mlvl-graph header");
       sync_line(line_io, sc);
       return std::nullopt;
     }
-    tk = tokens(ln);
   } while (tk.empty());
   if (tk.size() != 2 || tk[0] != "mlvl-graph" || tk[1] != "1") {
     report(sink, Code::kParseBadHeader, sc.line,
@@ -107,12 +113,11 @@ std::optional<Graph> read_graph(std::istream& is, DiagnosticSink* sink,
 
   NodeId n = 0;
   do {
-    if (!sc.next(ln)) {
+    if (!sc.next()) {
       report(sink, Code::kParseBadRecord, sc.line, "missing 'nodes' record");
       sync_line(line_io, sc);
       return std::nullopt;
     }
-    tk = tokens(ln);
   } while (tk.empty());
   if (tk.size() != 2 || tk[0] != "nodes" || !parse_uint(tk[1], n)) {
     report(sink, Code::kParseBadRecord, sc.line,
@@ -122,8 +127,7 @@ std::optional<Graph> read_graph(std::istream& is, DiagnosticSink* sink,
   }
 
   Graph g(n);
-  while (sc.next(ln)) {
-    tk = tokens(ln);
+  while (sc.next()) {
     if (tk.empty()) continue;
     if (tk[0] != "edge") {
       sc.unread();
@@ -138,7 +142,7 @@ std::optional<Graph> read_graph(std::istream& is, DiagnosticSink* sink,
     }
     if (u == v) {
       report(sink, Code::kParseBadValue, sc.line,
-             "self-loop at node " + tk[1]);
+             "self-loop at node " + std::string(tk[1]));
       sync_line(line_io, sc);
       return std::nullopt;
     }
@@ -159,15 +163,14 @@ std::optional<LayoutGeometry> read_geometry(std::istream& is,
                                             DiagnosticSink* sink,
                                             std::uint32_t* line_io) {
   Scanner sc{is, line_io ? *line_io : 0};
-  std::string ln;
-  std::vector<std::string> tk;
+  const std::string& ln = sc.text;
+  const std::vector<std::string_view>& tk = sc.tk;
   do {
-    if (!sc.next(ln)) {
+    if (!sc.next()) {
       report(sink, Code::kParseBadHeader, sc.line, "missing mlvl-geom header");
       sync_line(line_io, sc);
       return std::nullopt;
     }
-    tk = tokens(ln);
   } while (tk.empty());
   if (tk.size() != 2 || tk[0] != "mlvl-geom" || tk[1] != "1") {
     report(sink, Code::kParseBadHeader, sc.line,
@@ -179,12 +182,11 @@ std::optional<LayoutGeometry> read_geometry(std::istream& is,
   LayoutGeometry geom;
   std::uint32_t layers = 0;
   do {
-    if (!sc.next(ln)) {
+    if (!sc.next()) {
       report(sink, Code::kParseBadRecord, sc.line, "missing 'dims' record");
       sync_line(line_io, sc);
       return std::nullopt;
     }
-    tk = tokens(ln);
   } while (tk.empty());
   if (tk.size() != 4 || tk[0] != "dims" || !parse_uint(tk[1], geom.width) ||
       !parse_uint(tk[2], geom.height) || !parse_uint(tk[3], layers)) {
@@ -195,7 +197,7 @@ std::optional<LayoutGeometry> read_geometry(std::istream& is,
   }
   if (layers > std::numeric_limits<std::uint16_t>::max()) {
     report(sink, Code::kParseBadValue, sc.line,
-           "layer count " + tk[3] + " exceeds 65535");
+           "layer count " + std::string(tk[3]) + " exceeds 65535");
     sync_line(line_io, sc);
     return std::nullopt;
   }
@@ -206,7 +208,7 @@ std::optional<LayoutGeometry> read_geometry(std::istream& is,
            std::string("expected '") + want + "', got '" + ln + "'");
     sync_line(line_io, sc);
   };
-  auto layer_field = [&](const std::string& t, std::uint16_t& out) {
+  auto layer_field = [&](std::string_view t, std::uint16_t& out) {
     std::uint32_t v = 0;
     if (!parse_uint(t, v) || v > std::numeric_limits<std::uint16_t>::max())
       return false;
@@ -214,8 +216,7 @@ std::optional<LayoutGeometry> read_geometry(std::istream& is,
     return true;
   };
 
-  while (sc.next(ln)) {
-    tk = tokens(ln);
+  while (sc.next()) {
     if (tk.empty()) continue;
     if (tk[0] == "box") {
       NodeBox b;
@@ -268,7 +269,7 @@ std::optional<LoadedLayout> parse_layout(std::istream& is,
   std::string ln;
   while (std::getline(is, ln)) {
     ++line;
-    if (!tokens(ln).empty()) {
+    if (ln.find_first_not_of(" \t\r") != std::string::npos) {
       report(sink, Code::kParseTrailingGarbage, line, "'" + ln + "'");
       return std::nullopt;
     }

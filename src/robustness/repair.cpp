@@ -1,12 +1,12 @@
 #include "robustness/repair.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <bit>
+#include <optional>
 #include <set>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "core/geometry_index.hpp"
 #include "core/gridkey.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -34,32 +34,86 @@ bool is_frame_code(Code c) {
   }
 }
 
+/// Cells one route has seen: an open-addressing table (linear probing, at
+/// most half full) of one word per slot holding the packed cell key (56
+/// bits, core/gridkey.hpp), a 3-bit state and a 5-bit generation.
+/// clear() bumps the generation, so a table reused across routes re-zeroes
+/// its storage only once every 31 routes. Memory follows the cells a search
+/// touches, never the grid.
+class CellTable {
+ public:
+  explicit CellTable(std::size_t expected) {
+    words_.resize(std::bit_ceil(2 * expected));
+    shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(words_.size()));
+  }
+
+  /// Insert `key` with `state` unless present; true when inserted.
+  bool insert(std::uint64_t key, std::uint8_t state) {
+    if (2 * (size_ + 1) > words_.size()) grow();
+    for (std::size_t i = slot_of(key);; i = (i + 1) & (words_.size() - 1)) {
+      const std::uint64_t w = words_[i];
+      if ((w >> kGenShift) != gen_) {
+        words_[i] = key | std::uint64_t{state} << kStateShift |
+                    std::uint64_t{gen_} << kGenShift;
+        ++size_;
+        return true;
+      }
+      if ((w & kKeyMask) == key) return false;
+    }
+  }
+  /// State of a present `key`.
+  [[nodiscard]] std::uint8_t state(std::uint64_t key) const {
+    std::size_t i = slot_of(key);
+    while ((words_[i] & kKeyMask) != key) i = (i + 1) & (words_.size() - 1);
+    return static_cast<std::uint8_t>(words_[i] >> kStateShift & 7);
+  }
+  void clear() {
+    size_ = 0;
+    if (++gen_ < 32) return;
+    std::fill(words_.begin(), words_.end(), 0);  // generation 0: empty
+    gen_ = 1;
+  }
+
+ private:
+  static constexpr std::uint32_t kStateShift = 56, kGenShift = 59;
+  static constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << 56) - 1;
+  static_assert(2 * grid::kCoordBits + 16 <= kStateShift,
+                "a packed cell key (x, y, 16-bit layer) fits below the state");
+
+  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
+    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+  void grow() {
+    std::vector<std::uint64_t> old(2 * words_.size());
+    old.swap(words_);
+    --shift_;
+    const std::size_t mask = words_.size() - 1;
+    for (const std::uint64_t w : old) {
+      if ((w >> kGenShift) != gen_) continue;
+      std::size_t i = slot_of(w & kKeyMask);
+      while ((words_[i] >> kGenShift) == gen_) i = (i + 1) & mask;
+      words_[i] = w;
+    }
+  }
+
+  std::vector<std::uint64_t> words_;
+  std::uint32_t shift_ = 64;
+  std::uint32_t gen_ = 1;
+  std::size_t size_ = 0;
+};
+
 /// Maze router over the free cells of the grid. Occupancy reflects the via
 /// rule: blocking vias exclude their whole column, transparent vias only
-/// their endpoints (a wire may thread between them).
+/// their endpoints (a wire may thread between them). Free-cell and
+/// foreign-box questions go to a record-level GeometryIndex; routed paths
+/// are claimed in it, so later routes see them.
 class Router {
  public:
   Router(const Graph& g, const LayoutGeometry& geom, const RepairOptions& opt)
-      : g_(g), geom_(geom), opt_(opt), box_of_(g.num_nodes(), nullptr) {
-    for (const WireSeg& s : geom.segs)
-      for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-        for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-          occ_.insert(key3(xx, yy, s.layer));
-    for (const Via& v : geom.vias) {
-      if (opt.rule == ViaRule::kBlocking) {
-        for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-          occ_.insert(key3(v.x, v.y, zz));
-      } else {
-        occ_.insert(key3(v.x, v.y, v.z1));
-        occ_.insert(key3(v.x, v.y, v.z2));
-      }
-    }
-    for (const NodeBox& b : geom.boxes) {
+      : g_(g), geom_(geom), opt_(opt), index_(geom, opt.rule),
+        box_of_(g.num_nodes(), nullptr) {
+    for (const NodeBox& b : geom.boxes)
       if (b.node < g.num_nodes() && !box_of_[b.node]) box_of_[b.node] = &b;
-      for (std::uint32_t yy = b.y; yy < b.y + b.h; ++yy)
-        for (std::uint32_t xx = b.x; xx < b.x + b.w; ++xx)
-          box_cell_.emplace(key3(xx, yy, b.layer), b.node);
-    }
   }
 
   /// Find a free path between the terminal boxes of `e` and append the
@@ -71,64 +125,93 @@ class Router {
     const NodeBox* bv = box_of_[ed.v];
     if (!bu || !bv) return false;
 
-    std::unordered_map<std::uint64_t, std::uint64_t> parent;
-    std::deque<std::uint64_t> queue;
-    auto seed_box = [&](const NodeBox& b) {
-      for (std::uint32_t yy = b.y; yy < b.y + b.h; ++yy)
-        for (std::uint32_t xx = b.x; xx < b.x + b.w; ++xx) {
-          const std::uint64_t k = key3(xx, yy, b.layer);
-          if (occ_.count(k)) continue;
-          if (parent.emplace(k, k).second) queue.push_back(k);
-        }
-    };
+    // parent_ holds every cell seen: entered ones with the move that
+    // reached them (a seed: kSeed), and those found blocked, so neither is
+    // tested again. Only entered cells count against the search budget.
+    parent_.clear();
+    queue_.clear();
+    std::uint64_t entered = 0;
+    for (std::uint32_t yy = bu->y; yy < bu->y + bu->h; ++yy)
+      for (std::uint32_t xx = bu->x; xx < bu->x + bu->w; ++xx) {
+        if (index_.occupied(xx, yy, bu->layer)) continue;
+        parent_.insert(key3(xx, yy, bu->layer), kSeed);
+        ++entered;
+        queue_.push_back(key3(xx, yy, bu->layer));
+      }
     auto in_box = [](const NodeBox& b, std::uint64_t k) {
       return key_z(k) == b.layer && b.contains(key_x(k), key_y(k));
     };
-    seed_box(*bu);
+    // Foreign box: entering it would steal another node's terminal.
+    auto blocked = [&](std::uint64_t k) {
+      const std::uint32_t x = key_x(k), y = key_y(k), z = key_z(k);
+      if (index_.occupied(x, y, z)) return true;
+      const std::uint32_t box = index_.boxes().at(x, y, z);
+      if (box == BoxIndex::kNone) return false;
+      const NodeId owner = geom_.boxes[box].node;
+      return owner != ed.u && owner != ed.v;
+    };
 
     std::uint64_t goal = 0;
     bool found = false;
-    while (!queue.empty() && !found) {
-      if (parent.size() > opt_.max_search_cells) return false;
-      const std::uint64_t k = queue.front();
-      queue.pop_front();
+    for (std::size_t head = 0; head < queue_.size() && !found; ++head) {
+      if (entered > opt_.max_search_cells) break;
+      const std::uint64_t k = queue_[head];
       const std::uint32_t x = key_x(k), y = key_y(k), z = key_z(k);
-      const std::uint64_t nbr[6] = {x > 0 ? key3(x - 1, y, z) : k,
-                                    x + 1 < geom_.width ? key3(x + 1, y, z) : k,
-                                    y > 0 ? key3(x, y - 1, z) : k,
-                                    y + 1 < geom_.height ? key3(x, y + 1, z) : k,
-                                    z > 1 ? key3(x, y, z - 1) : k,
-                                    z < geom_.num_layers ? key3(x, y, z + 1) : k};
-      for (std::uint64_t nk : nbr) {
-        if (nk == k || parent.count(nk) || occ_.count(nk)) continue;
-        auto bc = box_cell_.find(nk);
-        if (bc != box_cell_.end() && bc->second != ed.u && bc->second != ed.v)
-          continue;  // foreign box: terminal theft
-        parent.emplace(nk, k);
+      const bool open[6] = {x > 0, x + 1 < geom_.width, y > 0,
+                            y + 1 < geom_.height, z > 1, z < geom_.num_layers};
+      for (std::uint8_t m = 0; m < 6; ++m) {
+        if (!open[m]) continue;
+        const std::uint64_t nk = k + kStep[m];
+        if (!parent_.insert(nk, m) || blocked(nk)) continue;
+        ++entered;
+        queue_.push_back(nk);
         if (in_box(*bv, nk)) {
           goal = nk;
           found = true;
           break;
         }
-        queue.push_back(nk);
       }
     }
+    cells_visited_ += entered;
     if (!found) return false;
 
     // Reconstruct source -> goal, then fold the walk into maximal straight
     // runs: same-layer runs become segments, z-runs become vias.
     std::vector<std::uint64_t> path;
-    for (std::uint64_t k = goal;; k = parent[k]) {
+    for (std::uint64_t k = goal;;) {
       path.push_back(k);
-      if (parent[k] == k) break;
+      const std::uint8_t m = parent_.state(k);
+      if (m == kSeed) break;
+      k -= kStep[m];
     }
     std::reverse(path.begin(), path.end());
+    const std::size_t segs0 = out.segs.size(), vias0 = out.vias.size();
     emit(path, e, out);
-    for (std::uint64_t k : path) occ_.insert(k);
+    // The path's runs and z-runs cover exactly its cells; its vias block
+    // their whole column whatever the rule.
+    for (std::size_t i = segs0; i < out.segs.size(); ++i)
+      index_.add_seg(out.segs[i]);
+    for (std::size_t i = vias0; i < out.vias.size(); ++i) {
+      const Via& v = out.vias[i];
+      index_.add_column(v.x, v.y, v.z1, v.z2);
+    }
     return true;
   }
 
+  [[nodiscard]] const GeometryIndex& index() const { return index_; }
+  /// Free cells entered by every search so far.
+  [[nodiscard]] std::uint64_t cells_visited() const { return cells_visited_; }
+
  private:
+  /// Key offsets of the six moves, in search order: -x, +x, -y, +y, -z, +z
+  /// (unsigned wrap-around subtracts).
+  static constexpr std::uint64_t kStep[6] = {
+      ~std::uint64_t{0}, 1, ~std::uint64_t{0} << grid::kCoordBits,
+      std::uint64_t{1} << grid::kCoordBits,
+      ~std::uint64_t{0} << 2 * grid::kCoordBits,
+      std::uint64_t{1} << 2 * grid::kCoordBits};
+  static constexpr std::uint8_t kSeed = 6;
+
   void emit(const std::vector<std::uint64_t>& path, EdgeId e,
             LayoutGeometry& out) {
     if (path.size() == 1) {  // degenerate stub (cannot happen between
@@ -174,9 +257,11 @@ class Router {
   const Graph& g_;
   const LayoutGeometry& geom_;
   const RepairOptions& opt_;
-  std::unordered_set<std::uint64_t> occ_;
-  std::unordered_map<std::uint64_t, NodeId> box_cell_;
+  GeometryIndex index_;
   std::vector<const NodeBox*> box_of_;
+  CellTable parent_{1u << 12};        ///< reused by every route
+  std::vector<std::uint64_t> queue_;  ///< BFS queue, reused likewise
+  std::uint64_t cells_visited_ = 0;
 };
 
 /// Delete wire records the checker would reject outright (broken frame) and
@@ -253,16 +338,29 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
       obs::counter_add("repair.ripups");
     }
 
-    Router router(g, geom, opt);
-    for (EdgeId e : rip) {
-      if (router.route(e, geom)) {
-        rep.rerouted.push_back(e);
-        obs::counter_add("repair.rerouted");
-      } else {
-        rep.failed.push_back(e);
-        ever_failed.insert(e);
-      }
+    std::optional<Router> router;
+    {
+      obs::Span index_span("repair.index");
+      index_span.arg("records", geom.boxes.size() + geom.segs.size() +
+                                    geom.vias.size());
+      router.emplace(g, geom, opt);
     }
+    {
+      obs::Span route_span("repair.route");
+      for (EdgeId e : rip) {
+        if (router->route(e, geom)) {
+          rep.rerouted.push_back(e);
+          obs::counter_add("repair.rerouted");
+        } else {
+          rep.failed.push_back(e);
+          ever_failed.insert(e);
+        }
+      }
+      route_span.arg("routes", rip.size());
+      route_span.arg("cells_visited", router->cells_visited());
+    }
+    obs::counter_add("repair.cells_visited", router->cells_visited());
+    obs::counter_add("repair.index.built", router->index().built());
   }
 
   DiagnosticSink final_sink(opt.max_diagnostics);

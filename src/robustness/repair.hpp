@@ -12,7 +12,9 @@
 // edges for which no free path exists.
 //
 // Each pass re-verifies the whole layout with the record-level `Checker`
-// (DESIGN.md §7.13), whose cost tracks the record count, not the area.
+// (DESIGN.md §7.13), and the router answers its free-cell and box questions
+// from a record-level `GeometryIndex` (§7.14): neither costs in proportion
+// to the area.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +34,8 @@ struct RepairOptions {
   std::size_t max_diagnostics = 512;     ///< per-pass collection budget
   /// Worker threads for each verification pass (CheckOptions::threads).
   std::uint32_t check_threads = 1;
-  /// Router give-up threshold: cells visited per edge before declaring it
-  /// unroutable (bounds worst-case work on dense or adversarial layouts).
+  /// Router give-up threshold: free cells entered per edge before declaring
+  /// it unroutable (bounds worst-case work on dense or adversarial layouts).
   std::uint64_t max_search_cells = 4u << 20;
 };
 

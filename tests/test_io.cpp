@@ -97,5 +97,37 @@ TEST(Io, ConsecutiveSectionsParse) {
   EXPECT_EQ(geom2->width, 4u);
 }
 
+// The graph reader hands the line it does not own back to the stream; that
+// must hold for CRLF endings, blank lines and a last line without '\n', and
+// line numbers must stay absolute.
+TEST(Io, SectionPushbackKeepsLinesAndEndings) {
+  std::istringstream crlf(
+      "mlvl-graph 1\r\nnodes 2\r\nedge 0 1\r\n\r\nmlvl-geom 1\r\n"
+      "dims 4 4 2\r\nbox 0 0 0 1 1 1\r\nbox 1 2 2 1 1 1\r\nseg 0 0 0 2 0 1");
+  auto loaded = io::parse_layout(crlf);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->geom.boxes.size(), 2u);
+  ASSERT_EQ(loaded->geom.segs.size(), 1u);
+  EXPECT_EQ(loaded->geom.segs[0].x2, 2u);
+
+  // The geometry header is the last line and has no newline: it is pushed
+  // back, re-read, and the missing dims are reported after it.
+  std::istringstream cut("mlvl-graph 1\nnodes 2\nedge 0 1\nmlvl-geom 1");
+  DiagnosticSink sink;
+  EXPECT_FALSE(io::parse_layout(cut, &sink).has_value());
+  ASSERT_FALSE(sink.empty());
+  EXPECT_EQ(sink.first()->code, Code::kParseBadRecord);
+  EXPECT_EQ(sink.first()->line, 4u);
+
+  // A bad record after the pushback is pinned to its own line.
+  std::istringstream bad(
+      "mlvl-graph 1\nnodes 2\n\nedge 0 1\nmlvl-geom 1\ndims 4 4 2\n"
+      "seg 0 0 0 x 0 1\n");
+  DiagnosticSink bad_sink;
+  EXPECT_FALSE(io::parse_layout(bad, &bad_sink).has_value());
+  ASSERT_FALSE(bad_sink.empty());
+  EXPECT_EQ(bad_sink.first()->line, 7u);
+}
+
 }  // namespace
 }  // namespace mlvl

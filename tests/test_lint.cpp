@@ -9,6 +9,7 @@
 
 #include "analysis/lint.hpp"
 #include "core/checker.hpp"
+#include "core/io.hpp"
 #include "layout/butterfly_layout.hpp"
 #include "layout/ccc_layout.hpp"
 #include "layout/cluster_layout.hpp"
@@ -19,6 +20,7 @@
 #include "layout/hypercube_layout.hpp"
 #include "layout/isn_layout.hpp"
 #include "layout/kary_layout.hpp"
+#include "obs/metrics.hpp"
 #include "topology/ring.hpp"
 
 namespace mlvl {
@@ -328,6 +330,64 @@ TEST(LintRules, BboxSlackReportsMargins) {
 }
 
 // --- config and baseline policy ---------------------------------------------
+
+// --- linear work on large crafted input -----------------------------------
+
+// 10^4 boxes and 10^5 vias, read as .mlvl text: knock-knee and
+// terminal-riser look each point up in the box index instead of scanning
+// all boxes (10^9 box tests), so the lookups examine O(1) box entries per
+// query. Work counters, not wall time, make the bound exact.
+TEST(LintScale, TenThousandBoxesHundredThousandViasLintInLinearWork) {
+  constexpr std::uint32_t kSide = 100, kPitch = 6, kBoxes = kSide * kSide;
+  std::ostringstream os;
+  os << "mlvl-graph 1\nnodes " << kBoxes << "\n";
+  for (std::uint32_t n = 0; n + 1 < kBoxes; n += 2)
+    os << "edge " << n << " " << n + 1 << "\n";
+  os << "mlvl-geom 1\ndims " << kSide * kPitch << " " << kSide * kPitch
+     << " 2\n";
+  for (std::uint32_t n = 0; n < kBoxes; ++n)
+    os << "box " << n << " " << (n % kSide) * kPitch << " "
+       << (n / kSide) * kPitch << " 4 4 1\n";
+  std::size_t segs = 0, vias = 0, interior = 0;
+  for (std::uint32_t n = 0; n < kBoxes; ++n) {
+    const std::uint32_t x = (n % kSide) * kPitch, y = (n / kSide) * kPitch;
+    const std::uint32_t e = n / 2;
+    // Ten vias per box: two land inside it, eight on its perimeter or in
+    // the channel beside it.
+    for (std::uint32_t i = 0; i < 10; ++i) {
+      const std::uint32_t vx = x + (i < 2 ? 1 + i : i % 6);
+      const std::uint32_t vy = y + (i < 2 ? 1 + i : (i < 6 ? 0 : 4));
+      os << "via " << e << " " << vx << " " << vy << " 1 2\n";
+      ++vias;
+      interior += i < 2;
+    }
+    // A bend beside each box, shared with the next box's edge.
+    os << "seg " << e << " " << x + 4 << " " << y << " " << x + 5 << " " << y
+       << " 1\n";
+    os << "seg " << (e + 1) % (kBoxes / 2) << " " << x + 5 << " " << y << " "
+       << x + 5 << " " << y + 3 << " 2\n";
+    segs += 2;
+  }
+  std::istringstream is(os.str());
+  auto loaded = io::parse_layout(is);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->geom.boxes.size(), kBoxes);
+  ASSERT_EQ(loaded->geom.vias.size(), vias);
+
+  obs::MetricsRegistry reg;
+  reg.install();
+  LintConfig cfg = only(LintRule::kTerminalRiserOfftrack);
+  cfg.enabled[static_cast<std::size_t>(LintRule::kThompsonKnockKnee)] = true;
+  DiagnosticSink sink(std::size_t{1} << 20);
+  const LintStats stats = lint_layout(loaded->graph, loaded->geom, cfg, sink);
+  obs::MetricsRegistry::uninstall();
+
+  EXPECT_EQ(hits(stats, LintRule::kTerminalRiserOfftrack), interior);
+  EXPECT_EQ(hits(stats, LintRule::kThompsonKnockKnee), kBoxes);
+  // Every box sits in one band; each lookup examines at most two entries.
+  EXPECT_LE(reg.counter("lint.index.built"), kBoxes);
+  EXPECT_LE(reg.counter("lint.index.probes"), 2 * (vias + 2 * segs));
+}
 
 TEST(LintPolicy, DisableSilencesARule) {
   Graph g = two_node_graph();

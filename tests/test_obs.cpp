@@ -23,6 +23,7 @@
 #include "obs/metrics.hpp"
 #include "obs/run_context.hpp"
 #include "obs/trace.hpp"
+#include "robustness/repair.hpp"
 
 namespace {
 
@@ -216,6 +217,54 @@ TEST(Obs, CheckSubPhasesNestUnderCheckWithRecordCounts) {
             ml.geom.boxes.size() + ml.geom.segs.size() + ml.geom.vias.size());
   EXPECT_EQ(arg(*find("check.occupancy"), "points"), rep.points);
   EXPECT_EQ(arg(*find("check.connectivity"), "edges"), o.graph.num_edges());
+}
+
+/// Lint runs each rule under its own `lint.<rule-id>` span, and a repair
+/// pass splits into `repair.index` and `repair.route`, all with counters.
+TEST(Obs, LintRuleAndRepairSpansCarryCounters) {
+  Orthogonal2Layer o = layout::layout_hypercube(4);
+  MultilayerLayout ml = realize(o, {.L = 4});
+  LayoutGeometry geom = ml.geom;
+  std::erase_if(geom.segs, [](const WireSeg& s) { return s.edge == 3; });
+  std::erase_if(geom.vias, [](const Via& v) { return v.edge == 3; });
+  obs::TraceSession session;
+  session.install();
+  DiagnosticSink sink;
+  analysis::lint_layout(o.graph, geom, analysis::LintConfig{}, sink);
+  const auto rep =
+      robustness::repair_layout(o.graph, geom, {.rule = ml.required_rule});
+  obs::TraceSession::uninstall();
+  ASSERT_TRUE(rep.ok);
+
+  const std::vector<obs::TraceEvent> events = session.events();
+  auto find = [&](std::string_view name) -> const obs::TraceEvent* {
+    for (const obs::TraceEvent& ev : events)
+      if (name == ev.name) return &ev;
+    return nullptr;
+  };
+  auto arg = [](const obs::TraceEvent& ev, std::string_view key) {
+    for (std::uint32_t i = 0; i < ev.arg_count; ++i)
+      if (key == ev.args[i].key) return std::stoull(ev.args[i].value);
+    ADD_FAILURE() << ev.name << " lacks arg " << key;
+    return 0ull;
+  };
+  const std::uint64_t records =
+      geom.boxes.size() + geom.segs.size() + geom.vias.size();
+  for (const analysis::LintRuleInfo& info : analysis::lint_registry()) {
+    const obs::TraceEvent* ev = find("lint." + std::string(info.id));
+    ASSERT_NE(ev, nullptr) << "missing span for " << info.id;
+    EXPECT_EQ(ev->depth, find("lint")->depth + 1) << info.id;
+    EXPECT_GT(arg(*ev, "records"), 0u) << info.id;
+    (void)arg(*ev, "findings");
+  }
+  const obs::TraceEvent* index = find("repair.index");
+  const obs::TraceEvent* route = find("repair.route");
+  ASSERT_NE(index, nullptr);
+  ASSERT_NE(route, nullptr);
+  EXPECT_GT(arg(*index, "records"), 0u);
+  EXPECT_LT(arg(*index, "records"), records);  // edge 3 was unrouted
+  EXPECT_EQ(arg(*route, "routes"), 1u);
+  EXPECT_GT(arg(*route, "cells_visited"), 0u);
 }
 
 TEST(Trace, SpanArgsAreRecordedBoundedAndTruncated) {

@@ -11,7 +11,9 @@
 #include "core/checker.hpp"
 #include "core/io.hpp"
 #include "core/multilayer.hpp"
+#include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
+#include "obs/metrics.hpp"
 #include "robustness/fault_injector.hpp"
 #include "robustness/repair.hpp"
 
@@ -189,6 +191,31 @@ TEST(Repair, RepairedLayoutRoundTripsThroughSerialization) {
   CheckResult res = check_layout(loaded->graph, loaded->geom,
                                  f.ml.required_rule);
   EXPECT_TRUE(res.ok) << res.error;
+}
+
+// The router answers its point questions from a record-level index, so
+// repairing one missing segment of a 150k-record, 14M-point layout builds
+// that index in work proportional to the records, not the grid points.
+TEST(Repair, OneMissingSegmentOnHypercube12BuildsIndexInRecordWork) {
+  const Orthogonal2Layer o = layout::layout_hypercube(12);
+  const MultilayerLayout ml = realize(o, {.L = 2});
+  LayoutGeometry geom = ml.geom;
+  const std::uint64_t records =
+      geom.boxes.size() + geom.segs.size() + geom.vias.size();
+  geom.segs.erase(geom.segs.begin() +
+                  static_cast<std::ptrdiff_t>(geom.segs.size() / 2));
+
+  obs::MetricsRegistry reg;
+  reg.install();
+  const auto rep =
+      robustness::repair_layout(o.graph, geom, {.rule = ml.required_rule});
+  obs::MetricsRegistry::uninstall();
+
+  EXPECT_TRUE(rep.ok) << rep.remaining.size() << " remaining";
+  EXPECT_EQ(rep.rerouted.size(), 1u);
+  // One router, built once from the records, plus the rerouted path.
+  EXPECT_LE(reg.counter("repair.index.built"), records + 64);
+  EXPECT_GT(reg.counter("repair.index.built"), records / 2);
 }
 
 }  // namespace
