@@ -32,7 +32,9 @@ void print_tables() {
     const std::uint64_t base_area = ml.geom.area();
     for (std::uint32_t slabs : {1u, 2u, 4u, 8u}) {
       Fold3dLayout f = fold_3d(ml, slabs);
-      CheckResult res = check_layout(c.o.graph, f.geom, ViaRule::kTransparent);
+      CheckReport res =
+          Checker(c.o.graph, f.geom, {.via_rule = ViaRule::kTransparent})
+              .check();
       std::uint64_t len = 0;
       for (const WireSeg& s : f.geom.segs) len += s.length();
       t.begin_row().cell(c.name).cell(std::uint64_t(slabs))

@@ -49,7 +49,8 @@ void BM_CheckGeometry(benchmark::State& state) {
       layout::layout_hypercube(static_cast<std::uint32_t>(state.range(0)));
   MultilayerLayout ml = realize(o, {.L = 8});
   for (auto _ : state) {
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     if (!res.ok) state.SkipWithError(res.error.c_str());
     benchmark::DoNotOptimize(res.points);
   }

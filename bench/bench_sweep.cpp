@@ -1,8 +1,8 @@
 // Experiment T-sweep — serial vs parallel wall time of the batch layout
 // engine on the acceptance grid: hypercube n=6..10 x L=2..8 (35 jobs, 5
-// unique topologies). The geometric checker is off — it is quadratic and not
-// part of the engine being measured — and the topology cache is on, so the
-// measured work is 5 orthogonal builds plus 35 realize+metrics passes.
+// unique topologies). The geometric checker is off, and the engine builds
+// each topology once per batch, so the measured work is 5 orthogonal builds
+// plus 35 realize+metrics passes.
 //
 // Two rows land in BENCH_mlvl.json: family "sweep-serial" and
 // "sweep-parallel" (nodes = job count, wall_ms = median batch time over the
@@ -32,8 +32,8 @@ std::vector<engine::SweepJob> acceptance_grid() {
   return jobs;
 }
 
-/// Run one batch per iteration on a fresh engine (cold cache — the cache
-/// warm-up is part of what the sweep amortizes) and record the repeat
+/// Run one batch per iteration on a fresh engine (the 5 builds are part of
+/// what the sweep amortizes) and record the repeat
 /// statistics of the batch wall time under `family`. Every iteration is one
 /// sample; google-benchmark decides the iteration count, so the recorded
 /// spread reflects however many batches actually ran.

@@ -7,13 +7,8 @@ namespace mlvl::tool {
 inline constexpr const char kLayoutToolUsage[] =
     R"usage(usage: layout_tool <network> [args...] [options]
        layout_tool sweep <spec-range>... [-L lo[..hi]] [-j N]
-                   [-nocheck] [-nocache] [--deadline ms] [--sweep-deadline ms]
-                   [--retries N] [--backoff ms] [--cache-capacity N]
-                   [--cache-capacity-bytes N] [--soft-capacity N]
+                   [-nocheck] [--deadline ms] [--sweep-deadline ms]
                    [--journal file] [--resume file]
-       layout_tool soak [<spec-range>...] [-iters N] [-seed N] [-j N]
-                   [-fault-rate pct] [--cache-capacity N] [--deadline ms]
-                   [--sweep-deadline ms] [--retries N]
        layout_tool bench-diff <baseline.json> <current.json>
                    [--max-regress pct] [--noise-floor ms] [--json file]
                    [--save-baseline]
@@ -35,23 +30,12 @@ options:
 sweep options:
   spec ranges use a=lo..hi, e.g. "hypercube(n=4..8)" or "kary(k=3,n=1..3)"
   -j <N>            worker threads (default: hardware concurrency)
-  -nocache          do not share topologies across layer counts
+                    each topology is built once and shared across layer counts
   --deadline <ms>   per-job budget; over-budget jobs report verdict 'deadline'
   --sweep-deadline <ms>  whole-batch budget; unstarted jobs become 'skipped'
-  --retries <N>     retry transient failures up to N times (default 0)
-  --backoff <ms>    base retry backoff, doubled per attempt (default 1)
-  --cache-capacity <N>  hard-bound the topology cache; LRU-evict past N entries
-  --cache-capacity-bytes <N>  hard cache bound by approximate resident bytes
-  --soft-capacity <N>  entries past which the sweep warns (default 256; 0 = off)
   --journal <file>  append each finished job to a crash-safe journal
   --resume <file>   skip jobs already completed in <file>, reproducing their
                     recorded results (output byte-identical to an unbroken run)
-soak options:
-  chaos-soak the persistent engine; exit 0 = governance invariants held
-  -iters <N>        sweep iterations on one engine (default 10)
-  -seed <N>         chaos seed (default 1); faults are deterministic per seed
-  -fault-rate <pct> injected transient-fault probability per attempt (default 25)
-  --cache-capacity <N>  hard cache bound under chaos (default 64)
 bench-diff options:
   --max-regress <pct>  wall-time slowdown tolerated before failing (default 20)
   --noise-floor <ms>   absolute wall-time slack per record (default 2.0)
@@ -76,7 +60,7 @@ observability (all modes):
                     JSON (<metrics file>.series.json, or metrics_series.json)
   --report <file>   write a unified mlvl-run-report-v1 JSON: run id, env,
                     profile summary, metrics snapshot, and (for sweep) the
-                    verdict / cache / governance summary
+                    verdict / cache / deadline summary
   --quiet | -q      errors only (exit code still reports validity)
   -v                more detail (repeatable: -v phase summary, -v -v debug)
 doctor options:

@@ -1642,23 +1642,4 @@ CheckReport Checker::check(DiagnosticSink& sink) {
   return finalize();
 }
 
-// ---- Legacy free-function API ---------------------------------------------
-
-std::uint64_t check_layout_all(const Graph& g, const LayoutGeometry& geom,
-                               ViaRule rule, DiagnosticSink& sink) {
-  Checker checker(g, geom, {.via_rule = rule});
-  return checker.check(sink).points;
-}
-
-CheckResult check_layout(const Graph& g, const LayoutGeometry& geom,
-                         ViaRule rule) {
-  Checker checker(g, geom, {.via_rule = rule});
-  CheckReport r = checker.check();
-  return CheckResult{r.ok, std::move(r.error), r.points};
-}
-
-CheckResult check_layout(const Graph& g, const MultilayerLayout& ml) {
-  return check_layout(g, ml.geom, ml.required_rule);
-}
-
 }  // namespace mlvl

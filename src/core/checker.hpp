@@ -87,34 +87,4 @@ class Checker {
   CheckOptions opt_;
 };
 
-// ---- Legacy free-function API (deprecated) --------------------------------
-// Thin wrappers over a throwaway Checker, kept so existing callers and
-// tests keep compiling. New code should construct a Checker.
-
-struct CheckResult {
-  bool ok = false;
-  std::string error;         ///< empty when ok
-  std::uint64_t points = 0;  ///< distinct (grid point, edge) claims
-
-  explicit operator bool() const { return ok; }
-};
-
-/// Deprecated: `Checker(g, geom, {.via_rule = rule}).check(sink).points`.
-/// Collect-all validation appending every violation to `sink` (up to its
-/// capacity; producers stop early once the sink is full, so a capacity-1
-/// sink reproduces first-failure behaviour).
-std::uint64_t check_layout_all(const Graph& g, const LayoutGeometry& geom,
-                               ViaRule rule, DiagnosticSink& sink);
-
-/// Deprecated: `Checker(g, geom, {.via_rule = rule}).check()`. First-failure
-/// validation of `geom` as a layout of `g` under the given via rule.
-[[nodiscard]] CheckResult check_layout(const Graph& g,
-                                       const LayoutGeometry& geom,
-                                       ViaRule rule = ViaRule::kBlocking);
-
-/// Deprecated convenience: validate a realized multilayer layout under the
-/// strictest rule it was built for.
-[[nodiscard]] CheckResult check_layout(const Graph& g,
-                                       const MultilayerLayout& ml);
-
 }  // namespace mlvl

@@ -58,10 +58,8 @@ const char* code_name(Code c) {
     case Code::kSpecMissingParam: return "spec-missing-param";
     case Code::kSpecBadValue: return "spec-bad-value";
     case Code::kSpecBadLayerCount: return "spec-bad-layer-count";
-    case Code::kCacheCapacity: return "cache-capacity";
     case Code::kJobDeadline: return "job-deadline";
     case Code::kSweepDeadline: return "sweep-deadline";
-    case Code::kJobRetryExhausted: return "job-retry-exhausted";
     case Code::kJournalError: return "journal-error";
   }
   return "unknown";
@@ -217,17 +215,11 @@ std::string Diagnostic::to_string() const {
     case Code::kSpecBadLayerCount:
       s = "layer count must be between 2 and 1024";
       break;
-    case Code::kCacheCapacity:
-      s = "topology cache exceeded its soft capacity";
-      break;
     case Code::kJobDeadline:
       s = "job deadline exceeded";
       break;
     case Code::kSweepDeadline:
       s = "sweep deadline exceeded";
-      break;
-    case Code::kJobRetryExhausted:
-      s = "transient failure persisted past retry budget";
       break;
     case Code::kJournalError:
       s = "sweep journal unreadable or wrong format";

@@ -88,15 +88,11 @@ enum class Code : std::uint16_t {
   kSpecBadValue,        ///< malformed or out-of-range parameter value
   kSpecBadLayerCount,   ///< RealizeOptions::L outside [2, 1024]
 
-  // Engine resource warnings (src/engine).
-  kCacheCapacity,       ///< topology cache grew past its soft capacity
-
   // Engine resource governance (src/engine): deadline / cancellation
   // outcomes. A job that trips its budget yields one of these instead of a
   // hung worker.
   kJobDeadline,         ///< one job exceeded its per-job deadline
   kSweepDeadline,       ///< the whole sweep exceeded its deadline / cancelled
-  kJobRetryExhausted,   ///< transient failures persisted past max retries
   kJournalError,        ///< sweep journal unreadable / wrong format
 };
 

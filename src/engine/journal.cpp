@@ -110,8 +110,7 @@ std::size_t SweepJournal::recorded() const {
 
 void SweepJournal::record(const JobResult& r) {
   if (file_ == nullptr) return;
-  if (r.verdict != JobVerdict::kOk && r.verdict != JobVerdict::kRetried &&
-      r.verdict != JobVerdict::kFailed)
+  if (r.verdict != JobVerdict::kOk && r.verdict != JobVerdict::kFailed)
     return;  // deadline/skipped jobs did not finish; a resume re-runs them
   const LayoutMetrics& m = r.metrics;
   std::string line = sweep_job_key(r.spec, r.L);
@@ -124,7 +123,6 @@ void SweepJournal::record(const JobResult& r) {
   line += '\t';
   line += "verdict=";
   line += verdict_name(r.verdict);
-  field("attempts", r.attempts);
   field("cache_hit", r.cache_hit ? 1 : 0);
   field("nodes", r.nodes);
   field("edges", r.edges);
@@ -205,8 +203,7 @@ std::optional<SweepResume> SweepJournal::load(const std::string& path,
       } else if (name == "err") {
         r.error = unescape_field(value);
       } else if (parse_u64(value, u)) {
-        if (name == "attempts") r.attempts = static_cast<std::uint32_t>(u);
-        else if (name == "cache_hit") r.cache_hit = u != 0;
+        if (name == "cache_hit") r.cache_hit = u != 0;
         else if (name == "nodes") r.nodes = u;
         else if (name == "edges") r.edges = u;
         else if (name == "w") r.metrics.width = static_cast<std::uint32_t>(u);
@@ -236,7 +233,7 @@ std::optional<SweepResume> SweepJournal::load(const std::string& path,
       ++resume.malformed_lines;
       continue;
     }
-    r.ok = r.verdict == JobVerdict::kOk || r.verdict == JobVerdict::kRetried;
+    r.ok = r.verdict == JobVerdict::kOk;
     // Re-recorded keys (a job finished again in a later resumed run) keep
     // the newest record, matching append order.
     resume.done[std::string(fields[0])] = std::move(r);

@@ -1,7 +1,7 @@
 // Crash-safe sweep checkpoint journal.
 //
 // A `SweepJournal` is an append-only text file recording every *finished*
-// sweep job — ok, retried-to-success, or deterministically failed — one
+// sweep job — ok or deterministically failed — one
 // flushed line per job, so a killed process loses at most the jobs that were
 // still in flight. Deadline and skipped jobs are deliberately not recorded:
 // they did not finish, and a resumed run (presumably with a fresh budget)
@@ -15,7 +15,7 @@
 // the loader accepts the bare tag too, so pre-annotation journals resume
 // unchanged. Records:
 //
-//   <spec>|L=<L> \t verdict=<name> \t attempts=<n> \t cache_hit=<0|1>
+//   <spec>|L=<L> \t verdict=<name> \t cache_hit=<0|1>
 //     \t nodes=.. \t edges=.. \t w=.. \t h=.. \t layers=.. \t area=..
 //     \t ww=.. \t wh=.. \t warea=.. \t volume=.. \t wire=.. \t maxwire=..
 //     \t maxedge=.. \t vias=.. \t err=<escaped>
@@ -24,7 +24,8 @@
 // the pair that determines a job's deterministic output — so resuming keys
 // on content, not on job indices, and tolerates reordered or extended job
 // lists. `err` is backslash-escaped (\\, \t, \n); every other field is an
-// unsigned integer. Unknown fields are ignored on load (forward compat);
+// unsigned integer. Unknown fields are ignored on load (forward compat; old
+// journals' `attempts=` too), and the retired `verdict=retried` loads as ok;
 // malformed or truncated lines (the tail a crash tore mid-write) are counted
 // and skipped, never fatal.
 //
@@ -77,7 +78,7 @@ class SweepJournal {
   [[nodiscard]] std::size_t recorded() const MLVL_EXCLUDES(mu_);
 
   /// Append one finished job and flush. Thread-safe (workers record from the
-  /// pool); verdicts other than ok/retried/failed are ignored by design.
+  /// pool); verdicts other than ok/failed are ignored by design.
   void record(const JobResult& r) MLVL_EXCLUDES(mu_);
 
   /// Parse a journal written by this class. Returns std::nullopt (with a

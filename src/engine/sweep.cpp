@@ -1,11 +1,13 @@
 #include "engine/sweep.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
+#include "core/thread_annotations.hpp"
 #include "engine/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,42 +21,85 @@ double ms_since(Clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
 }
 
-/// Build through the registry, converting its structured failure into an
-/// exception so the cache can poison the entry for every waiter.
-Orthogonal2Layer build_family_or_throw(const api::FamilySpec& spec) {
-  DiagnosticSink sink(4);
-  std::optional<Orthogonal2Layer> o =
-      api::FamilyRegistry::instance().build(spec, &sink);
-  if (!o) {
-    throw std::invalid_argument(sink.first() != nullptr
-                                    ? sink.first()->to_string()
-                                    : "family build failed");
-  }
-  return std::move(*o);
-}
+/// Build-once table for one batch: one slot per distinct canonical spec,
+/// numbered by the serial canonicalize loop. One mutex and one condition
+/// variable cover every slot; neither is held while a layout is built, so
+/// the lock stays a leaf (DESIGN.md §7.10).
+class BuildTable {
+ public:
+  explicit BuildTable(std::size_t slots) : slots_(slots) {}
 
-/// Deterministic backoff for retry `attempt` of job `i`: exponential base
-/// plus a splitmix-style jitter in [0, base) derived only from (i, attempt),
-/// so -j1 and -jN runs sleep identically and tests can predict schedules.
-std::uint64_t backoff_ms(std::uint32_t base_ms, std::size_t i,
-                         std::uint32_t attempt) {
-  if (base_ms == 0) return 0;
-  const std::uint32_t exp = std::min<std::uint32_t>(attempt - 1, 10);
-  const std::uint64_t base = static_cast<std::uint64_t>(base_ms) << exp;
-  std::uint64_t h =
-      (static_cast<std::uint64_t>(i) * 0x9E3779B97F4A7C15ULL) ^ attempt;
-  h ^= h >> 33;
-  h *= 0xFF51AFD7ED558CCDULL;
-  h ^= h >> 33;
-  return base + h % base;
-}
+  /// The layout of slot `s`, built from `spec` by the first job that needs
+  /// it; `*hit` says whether another job built it. A failed build fails
+  /// every job of its spec with the same error. A build cancelled by its
+  /// job's budget rethrows CancelledError and empties the slot, so a job
+  /// waiting on it wakes and builds under its own budget. A done slot is
+  /// never written again, so the returned layout may be read unlocked
+  /// until the table dies.
+  const Orthogonal2Layer& get(std::size_t s, const api::FamilySpec& spec,
+                              bool* hit) MLVL_EXCLUDES(mu_) {
+    {
+      MutexLock lock(&mu_);
+      while (slots_[s].state == State::kBuilding) cv_.wait(mu_);
+      Slot& slot = slots_[s];
+      if (slot.state == State::kDone) {
+        *hit = true;
+        if (!slot.layout) throw std::runtime_error(slot.error);
+        return *slot.layout;
+      }
+      slot.state = State::kBuilding;
+    }
+    *hit = false;
+    std::optional<Orthogonal2Layer> layout;
+    std::string error;
+    try {
+      DiagnosticSink sink(4);
+      layout = api::FamilyRegistry::instance().build(spec, &sink);
+      if (!layout) {
+        error = sink.first() != nullptr ? sink.first()->to_string()
+                                        : "family build failed";
+      }
+    } catch (const CancelledError&) {
+      {
+        MutexLock lock(&mu_);
+        slots_[s].state = State::kEmpty;
+      }
+      cv_.notify_all();
+      throw;
+    } catch (const std::exception& ex) {
+      error = ex.what();
+    }
+    const Orthogonal2Layer* built = nullptr;
+    {
+      MutexLock lock(&mu_);
+      Slot& slot = slots_[s];
+      slot.state = State::kDone;
+      slot.layout = std::move(layout);
+      slot.error = error;
+      if (slot.layout) built = &*slot.layout;
+    }
+    cv_.notify_all();
+    if (built == nullptr) throw std::runtime_error(error);
+    return *built;
+  }
+
+ private:
+  enum class State : std::uint8_t { kEmpty, kBuilding, kDone };
+  struct Slot {
+    State state = State::kEmpty;
+    std::optional<Orthogonal2Layer> layout;  ///< empty: the build failed
+    std::string error;
+  };
+  Mutex mu_;
+  CondVar cv_;
+  std::vector<Slot> slots_ MLVL_GUARDED_BY(mu_);
+};
 
 }  // namespace
 
 const char* verdict_name(JobVerdict v) {
   switch (v) {
     case JobVerdict::kOk: return "ok";
-    case JobVerdict::kRetried: return "retried";
     case JobVerdict::kFailed: return "failed";
     case JobVerdict::kDeadline: return "deadline";
     case JobVerdict::kSkipped: return "skipped";
@@ -63,9 +108,12 @@ const char* verdict_name(JobVerdict v) {
 }
 
 bool verdict_from_name(std::string_view name, JobVerdict& out) {
-  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kRetried,
-                       JobVerdict::kFailed, JobVerdict::kDeadline,
-                       JobVerdict::kSkipped}) {
+  if (name == "retried") {  // retired verdict: a success after a retry
+    out = JobVerdict::kOk;
+    return true;
+  }
+  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kFailed,
+                       JobVerdict::kDeadline, JobVerdict::kSkipped}) {
     if (name == verdict_name(v)) {
       out = v;
       return true;
@@ -84,7 +132,6 @@ SweepTotals SweepReport::totals() const {
   SweepTotals t;
   for (const JobResult& j : jobs) {
     switch (j.verdict) {
-      case JobVerdict::kRetried: ++t.retried; break;
       case JobVerdict::kDeadline: ++t.deadline; break;
       case JobVerdict::kSkipped: ++t.skipped; break;
       default: break;
@@ -120,22 +167,15 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
   SweepReport report;
   report.jobs.resize(jobs.size());
 
-  // Route cache soft-capacity warnings into this batch's report, re-arming
-  // the one-shot latch so every over-capacity sweep warns, not only the
-  // first in the process. Hard bounds apply from this batch on; shrinking
-  // the capacity between batches evicts down on the next insert.
-  DiagnosticSink cache_sink(16);
-  cache_.set_soft_capacity(opt_.cache_soft_capacity, &cache_sink);
-  cache_.rearm_soft_warning();
-  cache_.set_capacity(opt_.cache_capacity, opt_.cache_capacity_bytes);
-  const CacheStats cache_before = cache_.stats();
-
   // Canonicalize every spec up front, serially: deterministic, cheap, and a
-  // bad spec fails its slot without ever occupying a worker.
+  // bad spec fails its job without ever occupying a worker. Each runnable
+  // job gets the build-table slot of its canonical spec here, so workers
+  // never hash spec text.
   const api::FamilyRegistry& reg = api::FamilyRegistry::instance();
   std::vector<std::string> keys(jobs.size());
+  std::vector<std::size_t> slot(jobs.size(), 0);
+  std::unordered_map<std::string, std::size_t> slot_of;
   std::vector<bool> runnable(jobs.size(), false);
-  std::vector<bool> resumed(jobs.size(), false);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     JobResult& r = report.jobs[i];
     r.spec = jobs[i].spec;
@@ -159,7 +199,7 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
 
     // Resume prologue: a job whose spec×L key is in the journal reproduces
     // its recorded result here, byte-identical in submission order, and
-    // never reaches a worker (so the topology cache stays cold for it).
+    // never reaches a worker (so it builds nothing).
     if (opt_.resume != nullptr) {
       const JobResult* rec = opt_.resume->find(sweep_job_key(r.spec, r.L));
       if (rec != nullptr) {
@@ -169,12 +209,14 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
         r.L = jobs[i].options.L;
         r.resumed = true;
         runnable[i] = false;
-        resumed[i] = true;
         ++report.resumed;
         obs::counter_add("engine.jobs.resumed");
+        continue;
       }
     }
+    slot[i] = slot_of.try_emplace(keys[i], slot_of.size()).first->second;
   }
+  BuildTable table(slot_of.size());
 
   unsigned threads = opt_.threads != 0 ? opt_.threads
                                        : std::thread::hardware_concurrency();
@@ -184,16 +226,15 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
   report.threads = threads;
 
   // Sweep-wide budget: child of the external request_cancel() token so a
-  // daemon shutdown and a sweep deadline share one cooperative path.
+  // caller's cancellation and a sweep deadline share one cooperative path.
   CancelToken sweep_token(&external_cancel_);
   if (opt_.sweep_deadline_ms != 0)
     sweep_token.set_deadline_after_ms(opt_.sweep_deadline_ms);
 
-  // Both relaxed by design: `next` only hands out disjoint indices (the
-  // claimed slot itself is the payload, and each report.jobs[i] has exactly
-  // one writer); `transient_failures` is a pure tally read after join(),
-  // which supplies the final happens-before. Audited in DESIGN.md §7.10.
-  std::atomic<std::uint64_t> transient_failures{0};
+  // Relaxed by design: `next` only hands out disjoint indices (the claimed
+  // slot itself is the payload, and each report.jobs[i] has exactly one
+  // writer); join() supplies the final happens-before. Audited in
+  // DESIGN.md §7.10.
   std::atomic<std::size_t> next{0};
   auto worker = [&](unsigned wid) {
     // Per-worker latency histograms let a regression be localized: one slow
@@ -207,7 +248,7 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       JobResult& r = report.jobs[i];
-      if (resumed[i]) continue;  // reproduced from the journal, not a failure
+      if (r.resumed) continue;  // reproduced from the journal, not a failure
       if (!runnable[i]) {
         obs::counter_add("engine.jobs.failed");
         continue;
@@ -226,104 +267,51 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
       obs::histogram_record("engine.queue_wait_ms", r.queue_wait_ms);
       if (per_worker) obs::histogram_record(wq, r.queue_wait_ms);
       const Clock::time_point job_t0 = Clock::now();
-      for (std::uint32_t attempt = 1;; ++attempt) {
-        r.attempts = attempt;
-        // Fresh per-attempt token: a retry gets a full job budget, and the
-        // parent link makes the sweep deadline observable mid-pipeline.
+      {
+        // The parent link makes the sweep deadline observable mid-pipeline.
         CancelToken job_token(&sweep_token);
         if (opt_.job_deadline_ms != 0)
           job_token.set_deadline_after_ms(opt_.job_deadline_ms);
         CancelScope scope(&job_token);
-        // Correlation tags: every phase span recorded inside this attempt
-        // nests under an engine.job identified by what it was building.
-        // The verdict arg is attached where each attempt concludes.
+        // Correlation tags: every phase span recorded inside this job nests
+        // under an engine.job identified by what it was building.
         obs::Span job_span("engine.job");
         job_span.arg("spec", keys[i])
             .arg("L", std::uint64_t{jobs[i].options.L})
-            .arg("worker", std::uint64_t{wid})
-            .arg("attempt", std::uint64_t{attempt});
-        bool transient = false;
+            .arg("worker", std::uint64_t{wid});
         try {
-          if (opt_.inject_fault && opt_.inject_fault(i, attempt))
-            throw TransientError("injected transient fault");
-
-          OrthoCache::Ptr ortho;
-          bool hit = false;
-          if (opt_.use_cache) {
-            ortho = cache_.get_or_build(
-                keys[i], [&] { return build_family_or_throw(r.spec); }, &hit);
-          } else {
-            ortho = std::make_shared<const Orthogonal2Layer>(
-                build_family_or_throw(r.spec));
-          }
-          r.cache_hit = hit;
-          obs::counter_add(hit ? "engine.cache.hit" : "engine.cache.miss");
-
+          const Orthogonal2Layer& ortho =
+              table.get(slot[i], r.spec, &r.cache_hit);
+          obs::counter_add(r.cache_hit ? "engine.cache.hit"
+                                       : "engine.cache.miss");
           api::LayoutRequest req;
           req.spec = r.spec;
           req.options = jobs[i].options;
           req.check = opt_.check;
           req.check_options.threads = opt_.check_threads;
-          api::LayoutResult res = api::run_layout(*ortho, req, nullptr);
+          api::LayoutResult res = api::run_layout(ortho, req, nullptr);
           r.ok = res.ok;
           r.error = std::move(res.error);
           r.nodes = res.nodes;
           r.edges = res.edges;
           r.metrics = std::move(res.metrics);
-          r.verdict = r.ok
-                          ? (attempt > 1 ? JobVerdict::kRetried : JobVerdict::kOk)
-                          : JobVerdict::kFailed;
-          job_span.arg("verdict", verdict_name(r.verdict));
-          break;
+          r.verdict = r.ok ? JobVerdict::kOk : JobVerdict::kFailed;
         } catch (const CancelledError& ex) {
-          if (job_token.tripped()) {
-            // Our own budget (or the sweep's, mid-flight): structured
-            // deadline verdict instead of a hung worker.
-            r.ok = false;
-            r.verdict = JobVerdict::kDeadline;
-            r.error = ex.what();
-            job_span.arg("verdict", verdict_name(r.verdict));
-            obs::counter_add(sweep_token.tripped_flag_only()
-                                 ? "engine.deadline.sweep"
-                                 : "engine.deadline.job");
-            break;
-          }
-          // A co-waited cache build was cancelled by *another* job's
-          // deadline; our budget is intact, so treat it as transient and
-          // rebuild (the cache erased the cancelled entry).
-          transient = true;
+          // This job's budget (or the sweep's, mid-flight): structured
+          // deadline verdict instead of a hung worker.
+          r.ok = false;
+          r.verdict = JobVerdict::kDeadline;
           r.error = ex.what();
-        } catch (const TransientError& ex) {
-          transient = true;
-          r.error = ex.what();
+          obs::counter_add(sweep_token.tripped_flag_only()
+                               ? "engine.deadline.sweep"
+                               : "engine.deadline.job");
         } catch (const std::exception& ex) {
           r.ok = false;
           r.verdict = JobVerdict::kFailed;
           r.error = ex.what();
-          job_span.arg("verdict", verdict_name(r.verdict));
-          break;
         }
-        if (transient) {
-          transient_failures.fetch_add(1, std::memory_order_relaxed);
-          obs::counter_add("engine.retry.attempts");
-          if (attempt > opt_.max_retries) {
-            r.ok = false;
-            r.verdict = JobVerdict::kFailed;
-            r.error = "transient failure persisted past retry budget: " +
-                      r.error;
-            job_span.arg("verdict", verdict_name(r.verdict));
-            obs::counter_add("engine.retry.exhausted");
-            break;
-          }
-          job_span.arg("verdict", "transient");
-          const std::uint64_t delay =
-              backoff_ms(opt_.retry_backoff_ms, i, attempt);
-          if (delay != 0)
-            std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-        }
+        job_span.arg("verdict", verdict_name(r.verdict));
       }
-      if (r.verdict == JobVerdict::kRetried)
-        obs::counter_add("engine.retry.success");
       r.run_ms = ms_since(job_t0);
       obs::histogram_record("engine.job_ms", r.run_ms);
       if (per_worker) obs::histogram_record(wj, r.run_ms);
@@ -346,16 +334,15 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
   report.wall_ms = ms_since(t0);
   for (const JobResult& j : report.jobs) report.busy_ms += j.run_ms;
   for (std::size_t i = 0; i < report.jobs.size(); ++i) {
-    if (!runnable[i] || report.jobs[i].attempts == 0) continue;
-    if (report.jobs[i].verdict == JobVerdict::kDeadline ||
-        report.jobs[i].verdict == JobVerdict::kSkipped)
-      continue;  // never reached (or never finished) the cache lookup
-    if (report.jobs[i].cache_hit)
+    const JobResult& j = report.jobs[i];
+    if (!runnable[i] || j.verdict == JobVerdict::kDeadline ||
+        j.verdict == JobVerdict::kSkipped)
+      continue;  // never reached (or never finished) the table lookup
+    if (j.cache_hit)
       ++report.cache_hits;
     else
       ++report.cache_misses;
   }
-  report.retry_attempts = transient_failures.load(std::memory_order_relaxed);
   obs::gauge_set("engine.threads", threads);
   obs::gauge_set("engine.wall_ms", report.wall_ms);
   obs::gauge_set("engine.utilization", report.utilization());
@@ -369,18 +356,6 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
     report.warnings.push_back(std::move(d));
   }
 
-  // Cache telemetry + any soft-capacity warning raised during this batch.
-  // poll first: an all-hits batch performs no insert, so the soft tripwire
-  // would otherwise stay silent even though the cache is over the limit.
-  cache_.poll_soft_capacity();
-  const CacheStats cache_after = cache_.stats();
-  report.cache_evictions = cache_after.evictions - cache_before.evictions;
-  report.cache_entries = cache_after.entries;
-  report.cache_bytes = cache_after.bytes;
-  for (const Diagnostic& d : cache_sink.diagnostics())
-    report.warnings.push_back(d);
-  // The sink is stack-local, so detach it before returning.
-  cache_.set_soft_capacity(opt_.cache_soft_capacity, nullptr);
   return report;
 }
 

@@ -188,8 +188,6 @@ ProfileReport profile_events(std::vector<ProfileEvent> events,
     if (const std::string* v = find_arg(ev, "verdict")) j.verdict = *v;
     if (const std::string* v = find_arg(ev, "worker"))
       j.worker = parse_u64_or(*v, 0);
-    if (const std::string* v = find_arg(ev, "attempt"))
-      j.attempt = parse_u64_or(*v, 0);
     j.dur_us = ev.dur_us;
     rep.slowest_jobs.push_back(std::move(j));
   }
@@ -332,14 +330,13 @@ void ProfileReport::write_text(std::ostream& os) const {
     os << "\nslowest jobs:\n"
        << std::left << std::setw(int(spec_w)) << "spec" << std::right
        << std::setw(5) << "L" << "  " << std::left << std::setw(9)
-       << "verdict" << std::right << std::setw(7) << "worker" << std::setw(9)
-       << "attempt" << std::setw(12) << "ms" << "\n";
+       << "verdict" << std::right << std::setw(7) << "worker" << std::setw(12)
+       << "ms" << "\n";
     for (const SlowJob& j : slowest_jobs) {
       os << std::left << std::setw(int(spec_w)) << j.spec << std::right
          << std::setw(5) << j.L << "  " << std::left << std::setw(9)
          << (j.verdict.empty() ? "?" : j.verdict) << std::right << std::setw(7)
-         << j.worker << std::setw(9) << j.attempt << std::setw(12)
-         << ms(j.dur_us) << "\n";
+         << j.worker << std::setw(12) << ms(j.dur_us) << "\n";
     }
   }
 }
@@ -386,8 +383,8 @@ void ProfileReport::write_json(std::ostream& os) const {
     write_json_escaped(os, j.spec);
     os << "\", \"L\": " << j.L << ", \"verdict\": \"";
     write_json_escaped(os, j.verdict);
-    os << "\", \"worker\": " << j.worker << ", \"attempt\": " << j.attempt
-       << ", \"dur_us\": " << j.dur_us << "}";
+    os << "\", \"worker\": " << j.worker << ", \"dur_us\": " << j.dur_us
+       << "}";
     first = false;
   }
   os << "\n  ]\n}\n";

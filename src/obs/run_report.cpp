@@ -64,19 +64,11 @@ void RunReport::write_json(std::ostream& os) const {
       first = false;
     }
     os << "},\n    \"cache\": {\"hits\": " << sweep.cache_hits
-       << ", \"misses\": " << sweep.cache_misses
-       << ", \"evictions\": " << sweep.cache_evictions
-       << ", \"entries\": " << sweep.cache_entries
-       << ", \"bytes\": " << sweep.cache_bytes << "}"
+       << ", \"misses\": " << sweep.cache_misses << "}"
        << ",\n    \"warnings\": " << sweep.warnings
        << ",\n    \"governance\": {\"job_deadline_ms\": "
        << sweep.job_deadline_ms
        << ", \"sweep_deadline_ms\": " << sweep.sweep_deadline_ms
-       << ", \"max_retries\": " << sweep.max_retries
-       << ", \"retry_backoff_ms\": " << sweep.retry_backoff_ms
-       << ", \"cache_capacity\": " << sweep.cache_capacity
-       << ", \"cache_capacity_bytes\": " << sweep.cache_capacity_bytes
-       << ", \"cache_soft_capacity\": " << sweep.cache_soft_capacity
        << "}\n  }";
   }
   os << "\n}\n";
@@ -91,14 +83,14 @@ void RunReport::write_summary(std::ostream& os) const {
     std::uint64_t ok = 0;
     std::uint64_t bad = 0;
     for (const auto& [name, count] : sweep.verdicts) {
-      if (name == "ok" || name == "retried")
+      if (name == "ok")
         ok += count;
       else
         bad += count;
     }
     os << ", verdicts " << ok << " ok / " << bad << " other";
     os << ", cache " << sweep.cache_hits << "h/" << sweep.cache_misses
-       << "m/" << sweep.cache_evictions << "e";
+       << "m";
   } else if (has_profile) {
     os << ": " << profile.events << " span(s), wall "
        << fixed(double(profile.wall_us) / 1000.0, 1) << " ms";

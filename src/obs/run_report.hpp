@@ -3,8 +3,8 @@
 //
 // A `RunReport` merges the profiler's summary (per-phase self time,
 // utilization, critical path, slowest jobs), the final metrics snapshot,
-// the sweep's cache hit/miss/eviction stats and verdict tallies, the
-// governance settings the sweep ran under, and the bench env block —
+// the sweep's build hit/miss counts and verdict tallies, the deadlines
+// the sweep ran under, and the bench env block —
 // all stamped with the process run id — into one self-contained
 // `mlvl-run-report-v1` JSON document. layout_tool writes one per run via
 // `--report <file>`; CI archives it next to the trace it correlates with.
@@ -47,18 +47,10 @@ struct RunReport {
     std::map<std::string, std::uint64_t> verdicts;  ///< verdict name -> count
     std::uint64_t cache_hits = 0;
     std::uint64_t cache_misses = 0;
-    std::uint64_t cache_evictions = 0;
-    std::uint64_t cache_entries = 0;
-    std::uint64_t cache_bytes = 0;
     std::uint64_t warnings = 0;
-    /// Governance settings the sweep ran under (0 = unlimited).
+    /// Deadlines the sweep ran under (0 = unlimited).
     std::uint32_t job_deadline_ms = 0;
     std::uint32_t sweep_deadline_ms = 0;
-    std::uint32_t max_retries = 0;
-    std::uint32_t retry_backoff_ms = 0;
-    std::uint64_t cache_capacity = 0;
-    std::uint64_t cache_capacity_bytes = 0;
-    std::uint64_t cache_soft_capacity = 0;
   } sweep;
 
   /// `mlvl-run-report-v1` JSON document.

@@ -461,7 +461,7 @@ std::optional<InjectedFault> demote_to_wrong_layer(const Graph& g,
   // checker-valid: every target cell must be free of foreign geometry and of
   // node boxes, and the edge must stay one connected component that still
   // reaches both terminal boxes. The result breaks only the Sec. 2.4 layer
-  // discipline — Code::kLintLayerParity, which check_layout_all never emits.
+  // discipline — Code::kLintLayerParity, which the Checker never emits.
   std::vector<std::pair<std::uint64_t, EdgeId>> occ;
   for (const WireSeg& s : geom.segs)
     for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)

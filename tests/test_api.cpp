@@ -63,7 +63,7 @@ TEST(FamilyRegistry, SampleSpecsRoundTripAndBuild) {
     ASSERT_TRUE(res.ok) << f->name << ": " << res.error;
     EXPECT_GT(res.nodes, 0u) << f->name;
     EXPECT_GT(res.metrics.area, 0u) << f->name;
-    EXPECT_GT(res.check_points, 0u) << f->name;
+    EXPECT_GT(res.check_report.points, 0u) << f->name;
   }
 }
 
@@ -176,7 +176,9 @@ TEST(RunLayout, EndToEndThroughTheFacade) {
   std::optional<Orthogonal2Layer> o =
       FamilyRegistry::instance().build(req.spec);
   ASSERT_TRUE(o.has_value());
-  EXPECT_TRUE(check_layout(o->graph, res.layout).ok);
+  EXPECT_TRUE(
+      Checker(o->graph, res.layout.geom, {.via_rule = res.layout.required_rule})
+          .check().ok);
 }
 
 TEST(RunLayout, CheckReportRidesTheResult) {
@@ -189,8 +191,6 @@ TEST(RunLayout, CheckReportRidesTheResult) {
   EXPECT_TRUE(res.check_report.ok);
   EXPECT_GT(res.check_report.points, 0u);
   EXPECT_GE(res.check_report.wall_ms, 0.0);
-  // The deprecated mirror keeps old callers working.
-  EXPECT_EQ(res.check_points, res.check_report.points);
 
   // check=false leaves the report in its default state.
   req.check = false;
@@ -198,7 +198,6 @@ TEST(RunLayout, CheckReportRidesTheResult) {
   ASSERT_TRUE(unchecked.ok) << unchecked.error;
   EXPECT_FALSE(unchecked.check_report.ok);
   EXPECT_EQ(unchecked.check_report.points, 0u);
-  EXPECT_EQ(unchecked.check_points, 0u);
 }
 
 TEST(RunLayout, BadLayerCountFailsWithDiagnostic) {

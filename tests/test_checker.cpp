@@ -29,7 +29,7 @@ struct Fixture {
 
 TEST(Checker, AcceptsMinimalLayout) {
   Fixture f;
-  CheckResult res = check_layout(f.g, f.geom);
+  CheckReport res = Checker(f.g, f.geom).check();
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_GT(res.points, 0u);
 }
@@ -37,13 +37,13 @@ TEST(Checker, AcceptsMinimalLayout) {
 TEST(Checker, RejectsUnroutedEdge) {
   Fixture f;
   f.geom.segs.clear();
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsDisconnectedWire) {
   Fixture f;
   f.geom.segs = {{1, 1, 3, 1, 1, 0}, {6, 1, 9, 1, 1, 0}};  // gap at x=4..5
-  CheckResult res = check_layout(f.g, f.geom);
+  CheckReport res = Checker(f.g, f.geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("disconnected"), std::string::npos);
 }
@@ -51,7 +51,7 @@ TEST(Checker, RejectsDisconnectedWire) {
 TEST(Checker, RejectsWireMissingTerminal) {
   Fixture f;
   f.geom.segs = {{1, 1, 7, 1, 1, 0}};  // stops short of node 1's box
-  CheckResult res = check_layout(f.g, f.geom);
+  CheckReport res = Checker(f.g, f.geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("terminals"), std::string::npos);
 }
@@ -66,7 +66,7 @@ TEST(Checker, RejectsOverlappingWires) {
   geom.height = 6;
   geom.boxes = {{0, 1, 2, 2, 0}, {9, 1, 2, 2, 1}, {9, 4, 2, 2, 2}};
   geom.segs = {{1, 1, 9, 1, 1, 0}, {1, 1, 9, 1, 1, 1}};  // same track!
-  CheckResult res = check_layout(g, geom);
+  CheckReport res = Checker(g, geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("collision"), std::string::npos);
 }
@@ -85,7 +85,7 @@ TEST(Checker, DifferentLayersMayCross) {
   geom.segs = {{1, 6, 11, 6, 1, 0},   // horizontal, layer 1
                {6, 1, 6, 12, 2, 1}};  // vertical, layer 2, crosses at (6,6)
   geom.vias = {{6, 1, 1, 2, 1}, {6, 12, 1, 2, 1}};  // terminals for edge 1
-  CheckResult res = check_layout(g, geom);
+  CheckReport res = Checker(g, geom).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -101,7 +101,7 @@ TEST(Checker, BlockingViaConflictsWithCrossingWire) {
   geom.boxes = {{0, 5, 2, 2, 0}, {11, 5, 2, 2, 1}, {5, 0, 2, 2, 2}, {5, 11, 2, 2, 3}};
   geom.segs = {{1, 6, 11, 6, 1, 0}, {6, 1, 6, 12, 2, 1}};
   geom.vias = {{6, 6, 1, 2, 1}};  // knock-knee style via at the crossing
-  EXPECT_FALSE(check_layout(g, geom, ViaRule::kBlocking).ok);
+  EXPECT_FALSE(Checker(g, geom, {.via_rule = ViaRule::kBlocking}).check().ok);
 }
 
 TEST(Checker, TransparentViaSkipsInteriorLayers) {
@@ -125,8 +125,9 @@ TEST(Checker, TransparentViaSkipsInteriorLayers) {
                {11, 6, 1, 3, 0},   // edge 0 terminal at node 1
                {2, 1, 1, 2, 1},    // edge 1 terminals
                {2, 12, 1, 2, 1}};
-  EXPECT_FALSE(check_layout(g, geom, ViaRule::kBlocking).ok);
-  CheckResult res = check_layout(g, geom, ViaRule::kTransparent);
+  EXPECT_FALSE(Checker(g, geom, {.via_rule = ViaRule::kBlocking}).check().ok);
+  CheckReport res =
+      Checker(g, geom, {.via_rule = ViaRule::kTransparent}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -141,7 +142,7 @@ TEST(Checker, RejectsWireThroughForeignBox) {
   geom.boxes = {{0, 1, 2, 2, 0}, {9, 1, 2, 2, 1}, {5, 0, 2, 3, 2}};
   geom.segs = {{1, 1, 9, 1, 1, 0},   // edge 0 runs straight through box 2
                {1, 2, 5, 2, 1, 1}};  // edge (0,2) may touch box 2
-  CheckResult res = check_layout(g, geom);
+  CheckReport res = Checker(g, geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("enters box"), std::string::npos);
 }
@@ -149,25 +150,25 @@ TEST(Checker, RejectsWireThroughForeignBox) {
 TEST(Checker, RejectsOutOfBounds) {
   Fixture f;
   f.geom.segs.push_back({0, 0, 20, 0, 1, 0});
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsBadLayer) {
   Fixture f;
   f.geom.segs[0].layer = 5;
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsOverlappingBoxes) {
   Fixture f;
   f.geom.boxes[1] = {1, 1, 2, 2, 1};
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 TEST(Checker, RejectsMissingBox) {
   Fixture f;
   f.geom.boxes.pop_back();
-  EXPECT_FALSE(check_layout(f.g, f.geom).ok);
+  EXPECT_FALSE(Checker(f.g, f.geom).check().ok);
 }
 
 // ---- The redesigned Checker API -------------------------------------------
@@ -306,25 +307,6 @@ TEST(CheckerApi, FullWidthRunsCheckInRecordTime) {
   CheckReport rep = Checker(g, geom).check();
   EXPECT_TRUE(rep.ok) << rep.error;
   EXPECT_EQ(rep.points, std::uint64_t{kEdges} * kWidth);
-}
-
-TEST(CheckerApi, LegacyWrappersMatchCheckerOutput) {
-  Tall t;
-  t.geom.segs.push_back({1, 9, 9, 9, 1, 4});  // edge 4 invades group 3's row
-
-  DiagnosticSink new_sink(4096);
-  Checker checker(t.g, t.geom);
-  CheckReport rep = checker.check(new_sink);
-
-  DiagnosticSink legacy_sink(4096);
-  const std::uint64_t legacy_points =
-      check_layout_all(t.g, t.geom, ViaRule::kBlocking, legacy_sink);
-  CheckResult legacy = check_layout(t.g, t.geom);
-
-  EXPECT_EQ(rep.points, legacy_points);
-  EXPECT_EQ(rep.ok, legacy.ok);
-  EXPECT_EQ(rep.error, legacy.error);
-  EXPECT_EQ(rendered(new_sink), rendered(legacy_sink));
 }
 
 TEST(CheckerApi, FirstFailureConvenienceCarriesError) {

@@ -43,12 +43,12 @@ TEST(Diagnostics, ValidLayoutIsClean) {
   Tiny t;
   DiagnosticSink sink;
   const std::uint64_t points =
-      check_layout_all(t.g, t.geom, ViaRule::kBlocking, sink);
+      Checker(t.g, t.geom, {.via_rule = ViaRule::kBlocking}).check(sink).points;
   EXPECT_TRUE(sink.empty()) << sink.summary();
   EXPECT_EQ(points, 10u);  // two 5-point wires
   EXPECT_EQ(sink.summary(), "clean");
 
-  CheckResult res = check_layout(t.g, t.geom);
+  CheckReport res = Checker(t.g, t.geom).check();
   EXPECT_TRUE(res.ok);
   EXPECT_TRUE(res.error.empty());
   EXPECT_EQ(res.points, 10u);
@@ -63,7 +63,7 @@ TEST(Diagnostics, CollectsEveryViolationWithCoordinates) {
   t.geom.vias.push_back({2, 0, 1, 2, 1});
 
   DiagnosticSink sink;
-  check_layout_all(t.g, t.geom, ViaRule::kBlocking, sink);
+  Checker(t.g, t.geom, {.via_rule = ViaRule::kBlocking}).check(sink).points;
   EXPECT_TRUE(sink.has(Code::kPointCollision)) << sink.summary();
   EXPECT_TRUE(sink.has(Code::kEdgeDisconnected)) << sink.summary();
   EXPECT_TRUE(sink.has(Code::kEdgeUnrouted)) << sink.summary();
@@ -95,7 +95,7 @@ TEST(Diagnostics, CollectsEveryViolationWithCoordinates) {
 TEST(Diagnostics, FirstFailureWrapperKeepsLegacyMessages) {
   Tiny t;
   t.geom.vias.push_back({2, 0, 1, 2, 1});
-  CheckResult res = check_layout(t.g, t.geom);
+  CheckReport res = Checker(t.g, t.geom).check();
   EXPECT_FALSE(res.ok);
   EXPECT_NE(res.error.find("collision"), std::string::npos) << res.error;
   EXPECT_NE(res.error.find("(2,0,1)"), std::string::npos) << res.error;
@@ -180,7 +180,7 @@ TEST(Diagnostics, CheckerRespectsSinkCapacity) {
   // Unroute both edges: two violations, capacity for one.
   t.geom.segs.clear();
   DiagnosticSink sink(1);
-  check_layout_all(t.g, t.geom, ViaRule::kBlocking, sink);
+  Checker(t.g, t.geom, {.via_rule = ViaRule::kBlocking}).check(sink).points;
   EXPECT_EQ(sink.size(), 1u);
   EXPECT_TRUE(sink.full());
 }
@@ -192,7 +192,7 @@ TEST(Diagnostics, TerminalTheftNamesThiefAndVictim) {
   // also collide with e0. Cleaner: park a stub of e1 inside n0's box only.
   t.geom.segs[1] = {0, 0, 0, 0, 1, 1};  // single-point stub inside n0's box
   DiagnosticSink sink;
-  check_layout_all(t.g, t.geom, ViaRule::kBlocking, sink);
+  Checker(t.g, t.geom, {.via_rule = ViaRule::kBlocking}).check(sink).points;
   ASSERT_TRUE(sink.has(Code::kTerminalTheft)) << sink.summary();
   for (const Diagnostic& d : sink.diagnostics()) {
     if (d.code != Code::kTerminalTheft) continue;
@@ -219,7 +219,7 @@ TEST(Diagnostics, ParseRoundTrip) {
   ASSERT_TRUE(loaded.has_value()) << sink.summary();
   EXPECT_TRUE(sink.empty());
   EXPECT_EQ(loaded->graph.num_edges(), 2u);
-  EXPECT_TRUE(check_layout(loaded->graph, loaded->geom).ok);
+  EXPECT_TRUE(Checker(loaded->graph, loaded->geom).check().ok);
 }
 
 TEST(Diagnostics, BadHeaderReportsLineOne) {

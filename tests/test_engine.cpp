@@ -1,6 +1,6 @@
 // The parallel batch layout engine: a sweep run on many workers produces
 // results byte-identical to the serial run (submission order, same metrics),
-// the topology cache builds each unique spec exactly once, failures stay
+// each unique spec is built exactly once per batch, failures stay
 // isolated to their job, and the engine emits the documented obs spans and
 // counters.
 #include <gtest/gtest.h>
@@ -72,7 +72,7 @@ TEST(Engine, ResultsComeBackInSubmissionOrder) {
   }
 }
 
-TEST(Engine, CacheBuildsEachUniqueSpecExactlyOnce) {
+TEST(Engine, BuildsEachUniqueSpecOncePerBatch) {
   // One topology swept over 6 layer counts: 1 build, 5 hits.
   const std::vector<SweepJob> jobs = hypercube_grid(5, 5, 2, 7);
   BatchLayoutEngine eng({.threads = 4});
@@ -80,29 +80,39 @@ TEST(Engine, CacheBuildsEachUniqueSpecExactlyOnce) {
   ASSERT_TRUE(r.all_ok());
   EXPECT_EQ(r.cache_misses, 1u);
   EXPECT_EQ(r.cache_hits, jobs.size() - 1);
-  EXPECT_EQ(eng.cache_size(), 1u);
 
-  // The cache is a service that outlives one batch: a second run of the same
-  // jobs re-layouts nothing.
+  // The table is local to one batch: the next run builds again.
   SweepReport again = eng.run(jobs);
   ASSERT_TRUE(again.all_ok());
-  EXPECT_EQ(again.cache_misses, 0u);
-  EXPECT_EQ(again.cache_hits, jobs.size());
-
-  eng.clear_cache();
-  EXPECT_EQ(eng.cache_size(), 0u);
+  EXPECT_EQ(again.cache_misses, 1u);
+  EXPECT_EQ(again.cache_hits, jobs.size() - 1);
 }
 
-TEST(Engine, CacheHitsProduceIdenticalMetricsToColdBuilds) {
-  const std::vector<SweepJob> jobs = hypercube_grid(4, 4, 2, 5);
-  BatchLayoutEngine cold({.threads = 1, .use_cache = false});
-  BatchLayoutEngine warm({.threads = 4, .use_cache = true});
-  SweepReport no_cache = cold.run(jobs);
-  SweepReport cached = warm.run(jobs);
-  EXPECT_EQ(no_cache.cache_hits, 0u);
-  EXPECT_EQ(no_cache.cache_misses, jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i)
-    EXPECT_EQ(fingerprint(no_cache.jobs[i]), fingerprint(cached.jobs[i])) << i;
+TEST(Engine, SharedBuildsMatchASerialReplay) {
+  // Every job, whether it built its layout or reused another job's, reports
+  // what a serial build -> run_layout replay of that job reports.
+  const std::vector<SweepJob> jobs = hypercube_grid(3, 5, 2, 5);
+  SweepReport r = run_sweep(jobs, {.threads = 4});
+  ASSERT_EQ(r.jobs.size(), jobs.size());
+  EXPECT_EQ(r.cache_misses, 3u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    std::optional<Orthogonal2Layer> ortho =
+        api::FamilyRegistry::instance().build(jobs[i].spec);
+    ASSERT_TRUE(ortho.has_value()) << i;
+    api::LayoutRequest req;
+    req.spec = jobs[i].spec;
+    req.options = jobs[i].options;
+    const api::LayoutResult res = api::run_layout(*ortho, req);
+    JobResult want;
+    want.spec = res.spec;
+    want.L = jobs[i].options.L;
+    want.ok = res.ok;
+    want.error = res.error;
+    want.nodes = res.nodes;
+    want.edges = res.edges;
+    want.metrics = res.metrics;
+    EXPECT_EQ(fingerprint(r.jobs[i]), fingerprint(want)) << i;
+  }
 }
 
 TEST(Engine, FailuresStayIsolatedToTheirJob) {
@@ -127,14 +137,14 @@ TEST(Engine, FailuresStayIsolatedToTheirJob) {
   const SweepTotals t = r.totals();
   EXPECT_EQ(t.ok, 2u);
   EXPECT_EQ(t.failed, 2u);
-  // Only runnable jobs touch the cache.
+  // Only runnable jobs reach the build table.
   EXPECT_EQ(r.cache_hits + r.cache_misses, 2u);
 }
 
 // A spec whose canonical form is in range but whose builder throws (cluster
-// size must be a power of two) poisons its cache entry: every job sharing
-// the spec fails with the same error, deterministically.
-TEST(Engine, PoisonedCacheEntryFailsEverySharingJob) {
+// size must be a power of two) fails its build: every job sharing the spec
+// fails with the same error, deterministically.
+TEST(Engine, FailedBuildFailsEverySharingJob) {
   const api::FamilyRegistry& reg = api::FamilyRegistry::instance();
   std::optional<api::FamilySpec> bad = reg.parse("cluster(k=4,n=2,c=3)");
   ASSERT_TRUE(bad.has_value());
@@ -177,7 +187,7 @@ TEST(Engine, EmitsDocumentedSpansAndCounters) {
   EXPECT_LE(r.utilization(), 1.05);  // small slack for clock granularity
 }
 
-TEST(Engine, CacheTelemetryGaugesTrackSizeAndBytes) {
+TEST(Engine, RecordsPerWorkerLatencyHistograms) {
   obs::MetricsRegistry metrics;
   metrics.install();
   const std::vector<SweepJob> jobs = hypercube_grid(3, 5, 2, 3);
@@ -185,36 +195,18 @@ TEST(Engine, CacheTelemetryGaugesTrackSizeAndBytes) {
   obs::MetricsRegistry::uninstall();
   ASSERT_TRUE(r.all_ok());
 
-  EXPECT_EQ(r.cache_entries, 3u);  // three unique topologies
-  EXPECT_GT(r.cache_bytes, 0u);
-  EXPECT_EQ(metrics.gauge("engine.cache.size"), 3.0);
-  EXPECT_EQ(metrics.gauge("engine.cache.bytes"),
-            static_cast<double>(r.cache_bytes));
-  // Per-worker queue-wait and job-latency histograms exist for each thread.
-  EXPECT_TRUE(metrics.histogram("engine.worker.0.job_ms").has_value());
-  EXPECT_TRUE(metrics.histogram("engine.worker.0.queue_wait_ms").has_value());
-  // Within soft capacity: no warnings.
-  EXPECT_EQ(metrics.counter("engine.cache.soft_overflow"), 0u);
+  // Every job lands in the job-latency and queue-wait histograms of the
+  // worker that ran it (which worker takes which job is scheduling-dependent).
+  std::uint64_t job_ms = 0, queue_wait_ms = 0;
+  for (const char* w : {"engine.worker.0.", "engine.worker.1."}) {
+    job_ms += metrics.histogram(std::string(w) + "job_ms")
+                  .value_or(obs::HistogramData{}).count;
+    queue_wait_ms += metrics.histogram(std::string(w) + "queue_wait_ms")
+                         .value_or(obs::HistogramData{}).count;
+  }
+  EXPECT_EQ(job_ms, jobs.size());
+  EXPECT_EQ(queue_wait_ms, jobs.size());
   EXPECT_TRUE(r.warnings.empty());
-}
-
-TEST(Engine, CacheSoftCapacityOverflowWarnsOnce) {
-  obs::MetricsRegistry metrics;
-  metrics.install();
-  // Four unique topologies against a soft capacity of 2: the cache keeps
-  // building (no eviction) but flags the crossing exactly once.
-  const std::vector<SweepJob> jobs = hypercube_grid(3, 6, 2, 3);
-  SweepReport r = run_sweep(jobs, {.threads = 2, .cache_soft_capacity = 2});
-  obs::MetricsRegistry::uninstall();
-  ASSERT_TRUE(r.all_ok());
-
-  EXPECT_EQ(r.cache_entries, 4u);
-  EXPECT_EQ(metrics.counter("engine.cache.soft_overflow"), 1u);
-  ASSERT_EQ(r.warnings.size(), 1u);
-  EXPECT_EQ(r.warnings[0].severity, Severity::kWarning);
-  EXPECT_EQ(r.warnings[0].code, Code::kCacheCapacity);
-  EXPECT_NE(r.warnings[0].detail.find("soft capacity 2"), std::string::npos)
-      << r.warnings[0].detail;
 }
 
 TEST(Engine, ZeroJobsIsANoOp) {

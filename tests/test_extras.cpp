@@ -32,7 +32,8 @@ TEST(Extras, SingleDiagonalRoutesAndChecks) {
   o.add_extra_edge(0, 8);
   for (std::uint32_t L : {2u, 4u, 6u}) {
     MultilayerLayout ml = realize(o, {.L = L});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "L=" << L << ": " << res.error;
   }
 }
@@ -41,7 +42,8 @@ TEST(Extras, SameRowExtra) {
   Orthogonal2Layer o = grid9();
   o.add_extra_edge(3, 5);  // same row, forced through the extra machinery
   MultilayerLayout ml = realize(o, {.L = 4});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -49,7 +51,8 @@ TEST(Extras, SameColumnExtra) {
   Orthogonal2Layer o = grid9();
   o.add_extra_edge(1, 7);  // same column
   MultilayerLayout ml = realize(o, {.L = 4});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -57,7 +60,8 @@ TEST(Extras, AdjacentCellsExtra) {
   Orthogonal2Layer o = grid9();
   o.add_extra_edge(4, 8);  // one step diagonal
   MultilayerLayout ml = realize(o, {.L = 2});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -78,7 +82,8 @@ TEST(Extras, ManyExtrasAllPairsSmall) {
   EXPECT_EQ(o.extras.size(), 36u - 9u - 9u);  // C(9,2) minus row/col pairs
   for (std::uint32_t L : {2u, 4u, 8u}) {
     MultilayerLayout ml = realize(o, {.L = L});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "L=" << L << ": " << res.error;
   }
 }
@@ -89,7 +94,8 @@ TEST(Extras, HubCountOverrideIsRespected) {
     MultilayerLayout ml = realize(
         o, RealizeOptions{.L = 4, .node_size = 0, .pack_extras = true,
                           .extra_hubs = hubs});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "hubs=" << hubs << ": " << res.error;
   }
 }
@@ -104,7 +110,8 @@ TEST(Extras, MoreHubsNeverBreakValidity) {
     MultilayerLayout ml = realize(
         o, RealizeOptions{.L = 4, .node_size = 0, .pack_extras = true,
                           .extra_hubs = hubs});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "hubs=" << hubs << ": " << res.error;
   }
 }
@@ -143,7 +150,8 @@ TEST(Extras, ExtrasOnlyLayoutHasFiniteArea) {
   Orthogonal2Layer o = orthogonal_greedy(std::move(g), std::move(p));
   EXPECT_EQ(o.extras.size(), 2u);
   MultilayerLayout ml = realize(o, {.L = 2});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   EXPECT_TRUE(res.ok) << res.error;
   LayoutMetrics m = compute_metrics(ml, o.graph);
   EXPECT_GT(m.edge_length[0], 0u);
@@ -156,7 +164,8 @@ TEST(Extras, EnhancedCubeRandomTargetsAlwaysRoute) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
     Orthogonal2Layer o = layout::layout_enhanced_cube(4, seed);
     MultilayerLayout ml = realize(o, {.L = 4});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "seed=" << seed << ": " << res.error;
   }
 }

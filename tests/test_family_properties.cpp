@@ -73,7 +73,8 @@ TEST_P(FamilySweep, CheckedValidWithConsistentMetrics) {
   ASSERT_TRUE(o.is_valid()) << fc.name;
 
   MultilayerLayout ml = realize(o, {.L = L});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   ASSERT_TRUE(res.ok) << fc.name << " L=" << L << ": " << res.error;
 
   LayoutMetrics m = compute_metrics(ml, o.graph);

@@ -80,8 +80,9 @@ TEST(FaultMatrix, EveryGeometryOperatorTriggersItsDeclaredCode) {
             << robustness::fault_name(k) << " on " << c.name << " seed "
             << seed << " (" << fault->note << "): got " << sink.summary();
         EXPECT_FALSE(rep.ok) << robustness::fault_name(k);
-        // The legacy first-failure wrapper must reject the layout too.
-        EXPECT_FALSE(check_layout(c.o.graph, geom, c.ml.required_rule).ok)
+        // The first-failure pass must reject the layout too.
+        EXPECT_FALSE(Checker(c.o.graph, geom, {.via_rule = c.ml.required_rule})
+                         .check().ok)
             << robustness::fault_name(k);
       }
     }
@@ -184,7 +185,7 @@ TEST(FaultMatrix, InapplicableInjectionLeavesGeometryUntouched) {
   geom.height = 1;
   geom.boxes = {{0, 0, 1, 1, 0, 1}, {2, 0, 1, 1, 1, 1}};
   geom.segs = {{0, 0, 2, 0, 1, 0}};
-  ASSERT_TRUE(check_layout(g, geom).ok);
+  ASSERT_TRUE(Checker(g, geom).check().ok);
 
   auto snapshot = [&] {
     std::ostringstream os;

@@ -74,7 +74,8 @@ TEST(Fold, DirectLayoutBeatsFoldedBaseline) {
   Orthogonal2Layer o = layout::layout_hypercube(8);
   const LayoutMetrics m2 = two_layer_metrics(8);
   MultilayerLayout ml = realize(o, {.L = 8});
-  ASSERT_TRUE(check_layout(o.graph, ml));
+  ASSERT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
+                  .check());
   const LayoutMetrics m8 = compute_metrics(ml, o.graph);
   const double folded_wiring = double(m2.wiring_area) / (8 / 2);
   const double advantage = folded_wiring / double(m8.wiring_area);

@@ -26,7 +26,8 @@ TEST(Fold3d, TwoSlabsHalveHeightAndVerify) {
   Fold3dLayout f = fold_3d(ml, 2);
   EXPECT_EQ(f.geom.num_layers, 4u);
   EXPECT_LE(f.geom.height, ml.geom.height / 2 + 12);  // snap slack
-  CheckResult res = check_layout(o.graph, f.geom, ViaRule::kTransparent);
+  CheckReport res =
+      Checker(o.graph, f.geom, {.via_rule = ViaRule::kTransparent}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -36,7 +37,8 @@ TEST(Fold3d, FourSlabsQuarterHeight) {
   Fold3dLayout f = fold_3d(ml, 4);
   EXPECT_EQ(f.geom.num_layers, 8u);
   EXPECT_LE(f.geom.height, ml.geom.height / 4 + 16);
-  CheckResult res = check_layout(o.graph, f.geom, ViaRule::kTransparent);
+  CheckReport res =
+      Checker(o.graph, f.geom, {.via_rule = ViaRule::kTransparent}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -68,7 +70,8 @@ TEST(Fold3d, AreaReductionApproachesSlabs) {
     const double reduction = double(ml.geom.area()) / f.geom.area();
     EXPECT_GT(reduction, t * 0.8) << "t=" << t;
     EXPECT_LE(reduction, t * 1.01) << "t=" << t;
-    CheckResult res = check_layout(o.graph, f.geom, ViaRule::kTransparent);
+    CheckReport res =
+        Checker(o.graph, f.geom, {.via_rule = ViaRule::kTransparent}).check();
     EXPECT_TRUE(res.ok) << res.error;
   }
 }
@@ -79,7 +82,8 @@ TEST(Fold3d, FoldOfMultilayerLayout) {
   MultilayerLayout ml = realize(o, {.L = 4});
   Fold3dLayout f = fold_3d(ml, 2);
   EXPECT_EQ(f.geom.num_layers, 8u);
-  CheckResult res = check_layout(o.graph, f.geom, ViaRule::kTransparent);
+  CheckReport res =
+      Checker(o.graph, f.geom, {.via_rule = ViaRule::kTransparent}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 

@@ -62,7 +62,8 @@ TEST_P(Fuzz, RandomLayoutAlwaysValid) {
   Orthogonal2Layer o = orthogonal_greedy(std::move(g), std::move(p));
   ASSERT_TRUE(o.is_valid());
   MultilayerLayout ml = realize(o, {.L = fc.L});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   ASSERT_TRUE(res.ok) << "seed=" << fc.seed << ": " << res.error;
   LayoutMetrics m = compute_metrics(ml, o.graph);
   for (EdgeId e = 0; e < o.graph.num_edges(); ++e)

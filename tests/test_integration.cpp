@@ -18,7 +18,8 @@ namespace {
 
 LayoutMetrics measure(const Orthogonal2Layer& o, std::uint32_t L) {
   MultilayerLayout ml = realize(o, {.L = L});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   EXPECT_TRUE(res.ok) << res.error;
   return compute_metrics(ml, o.graph);
 }
@@ -131,8 +132,10 @@ TEST(Integration, FoldedHypercubeConstant) {
   MultilayerLayout mp = realize(plain, {.L = 4});
   MultilayerLayout mf =
       realize(folded, RealizeOptions{.L = 4, .pack_extras = false});
-  ASSERT_TRUE(check_layout(plain.graph, mp).ok);
-  ASSERT_TRUE(check_layout(folded.graph, mf).ok);
+  ASSERT_TRUE(Checker(plain.graph, mp.geom, {.via_rule = mp.required_rule})
+                  .check().ok);
+  ASSERT_TRUE(Checker(folded.graph, mf.geom, {.via_rule = mf.required_rule})
+                  .check().ok);
   const double ratio = double(mf.geom.area()) / double(mp.geom.area());
   EXPECT_GT(ratio, 1.5);
   EXPECT_LT(ratio, 49.0 / 16.0 * 1.5);
@@ -143,8 +146,10 @@ TEST(Integration, EnhancedCostsMoreThanFolded) {
   Orthogonal2Layer enhanced = layout::layout_enhanced_cube(6, 123);
   MultilayerLayout mf = realize(folded, {.L = 4});
   MultilayerLayout me = realize(enhanced, {.L = 4});
-  ASSERT_TRUE(check_layout(folded.graph, mf).ok);
-  ASSERT_TRUE(check_layout(enhanced.graph, me).ok);
+  ASSERT_TRUE(Checker(folded.graph, mf.geom, {.via_rule = mf.required_rule})
+                  .check().ok);
+  ASSERT_TRUE(Checker(enhanced.graph, me.geom, {.via_rule = me.required_rule})
+                  .check().ok);
   // Twice the extra links => more area.
   EXPECT_GT(me.geom.area(), mf.geom.area());
 }

@@ -55,7 +55,7 @@ TEST(Io, FullLayoutRoundTripStaysValid) {
   auto loaded = io::load_layout(path);
   ASSERT_TRUE(loaded.has_value());
   // The reloaded layout must still pass the full geometric checker.
-  CheckResult res = check_layout(loaded->graph, loaded->geom);
+  CheckReport res = Checker(loaded->graph, loaded->geom).check();
   EXPECT_TRUE(res.ok) << res.error;
   EXPECT_EQ(loaded->geom.segs.size(), ml.geom.segs.size());
   EXPECT_EQ(loaded->geom.vias.size(), ml.geom.vias.size());

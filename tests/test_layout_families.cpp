@@ -25,7 +25,8 @@ void expect_valid(const Orthogonal2Layer& o, std::initializer_list<std::uint32_t
   ASSERT_TRUE(o.is_valid());
   for (std::uint32_t L : Ls) {
     MultilayerLayout ml = realize(o, {.L = L});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "L=" << L << ": " << res.error;
     if (L % 2 == 0) {
       EXPECT_EQ(ml.required_rule, ViaRule::kBlocking) << "L=" << L;
@@ -169,7 +170,8 @@ TEST(Families, OddLayerCounts) {
   for (std::uint32_t L : {3u, 5u, 7u}) {
     Orthogonal2Layer o = layout::layout_ghc(3, 2);
     MultilayerLayout ml = realize(o, {.L = L});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << "L=" << L << ": " << res.error;
   }
 }

@@ -60,7 +60,8 @@ void expect_lint_clean(const Orthogonal2Layer& o,
   ASSERT_TRUE(o.is_valid());
   for (std::uint32_t L : Ls) {
     MultilayerLayout ml = realize(o, {.L = L});
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     ASSERT_TRUE(res.ok) << "L=" << L << ": " << res.error;
     LintConfig cfg;
     cfg.via_rule = ml.required_rule;

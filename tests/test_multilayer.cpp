@@ -18,7 +18,8 @@ TEST(Multilayer, ThompsonCaseIsTwoGroups) {
   EXPECT_EQ(ml.groups_h, 1u);
   EXPECT_EQ(ml.groups_v, 1u);
   EXPECT_EQ(ml.required_rule, ViaRule::kBlocking);
-  EXPECT_TRUE(check_layout(o.graph, ml));
+  EXPECT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
+                  .check());
 }
 
 TEST(Multilayer, EvenLSplitsTracks) {
@@ -30,8 +31,10 @@ TEST(Multilayer, EvenLSplitsTracks) {
   EXPECT_EQ(ml4.wiring_height, 9u * 4);  // ceil(8/2)=4 tracks, 9 rows
   EXPECT_EQ(ml8.wiring_height, 9u * 2);
   EXPECT_EQ(ml2.wiring_height, 9u * 8);
-  EXPECT_TRUE(check_layout(o.graph, ml4));
-  EXPECT_TRUE(check_layout(o.graph, ml8));
+  EXPECT_TRUE(Checker(o.graph, ml4.geom, {.via_rule = ml4.required_rule})
+                  .check());
+  EXPECT_TRUE(Checker(o.graph, ml8.geom, {.via_rule = ml8.required_rule})
+                  .check());
 }
 
 TEST(Multilayer, OddLUsesAsymmetricSplit) {
@@ -41,7 +44,8 @@ TEST(Multilayer, OddLUsesAsymmetricSplit) {
   EXPECT_EQ(ml.groups_v, 3u);
   // Odd L may require stacked vias; the layout must still verify under the
   // rule it declares.
-  EXPECT_TRUE(check_layout(o.graph, ml));
+  EXPECT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
+                  .check());
 }
 
 TEST(Multilayer, RejectsBadOptions) {
@@ -58,7 +62,8 @@ TEST(Multilayer, NodeSizeOverride) {
   EXPECT_GT(big.geom.width, small.geom.width);
   // Wiring extents are independent of node size.
   EXPECT_EQ(big.wiring_width, small.wiring_width);
-  EXPECT_TRUE(check_layout(o.graph, big));
+  EXPECT_TRUE(Checker(o.graph, big.geom, {.via_rule = big.required_rule})
+                  .check());
   for (const NodeBox& b : big.geom.boxes) {
     EXPECT_EQ(b.w, 20u);
     EXPECT_EQ(b.h, 20u);
@@ -68,7 +73,8 @@ TEST(Multilayer, NodeSizeOverride) {
 TEST(Multilayer, ExtrasRouteAndVerify) {
   Orthogonal2Layer o = layout::layout_folded_hypercube(4);
   MultilayerLayout ml = realize(o, {.L = 4});
-  EXPECT_TRUE(check_layout(o.graph, ml));
+  EXPECT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
+                  .check());
   LayoutMetrics m = compute_metrics(ml, o.graph);
   // Every edge is routed with positive length.
   for (std::uint32_t len : m.edge_length) EXPECT_GT(len, 0u);
@@ -82,8 +88,11 @@ TEST(Multilayer, ExtrasPackedNoWiderThanReserved) {
       realize(o, RealizeOptions{.L = 4, .pack_extras = false});
   EXPECT_LE(packed.geom.width, reserved.geom.width);
   EXPECT_LE(packed.geom.height, reserved.geom.height);
-  EXPECT_TRUE(check_layout(o.graph, packed));
-  EXPECT_TRUE(check_layout(o.graph, reserved));
+  EXPECT_TRUE(Checker(o.graph, packed.geom, {.via_rule = packed.required_rule})
+                  .check());
+  EXPECT_TRUE(
+      Checker(o.graph, reserved.geom, {.via_rule = reserved.required_rule})
+          .check());
 }
 
 TEST(Multilayer, HigherLNeverIncreasesArea) {
@@ -93,7 +102,8 @@ TEST(Multilayer, HigherLNeverIncreasesArea) {
     MultilayerLayout ml = realize(o, {.L = L});
     EXPECT_LE(ml.geom.area(), prev) << "L=" << L;
     prev = ml.geom.area();
-    EXPECT_TRUE(check_layout(o.graph, ml)) << "L=" << L;
+    EXPECT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
+                    .check()) << "L=" << L;
   }
 }
 

@@ -17,7 +17,8 @@ struct Fixture {
   MultilayerLayout ml;
 
   Fixture() : o(layout::layout_ghc(4, 2)), ml(realize(o, {.L = 4})) {
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << res.error;
   }
 };
@@ -25,7 +26,8 @@ struct Fixture {
 TEST(Mutation, DropASegmentDisconnects) {
   Fixture f;
   f.ml.geom.segs.erase(f.ml.geom.segs.begin() + f.ml.geom.segs.size() / 2);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, DropAViaDisconnects) {
@@ -36,7 +38,8 @@ TEST(Mutation, DropAViaDisconnects) {
   while (it != f.ml.geom.vias.end() && it->z2 - it->z1 < 2) ++it;
   ASSERT_NE(it, f.ml.geom.vias.end());
   f.ml.geom.vias.erase(it);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, RelabelSegmentEdgeCollides) {
@@ -45,7 +48,8 @@ TEST(Mutation, RelabelSegmentEdgeCollides) {
   Fixture f;
   WireSeg& s = f.ml.geom.segs.front();
   s.edge = (s.edge + 1) % f.o.graph.num_edges();
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, ShiftTrackByOneRow) {
@@ -59,7 +63,8 @@ TEST(Mutation, ShiftTrackByOneRow) {
       break;
     }
   }
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, WrongLayerBreaksConnectivity) {
@@ -70,20 +75,23 @@ TEST(Mutation, WrongLayerBreaksConnectivity) {
       break;
     }
   }
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, StealTerminalBox) {
   // Swapping two node boxes makes wires end at the wrong processors.
   Fixture f;
   std::swap(f.ml.geom.boxes[0].node, f.ml.geom.boxes[1].node);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, ShrinkBoundingBoxRejected) {
   Fixture f;
   f.ml.geom.width /= 2;
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, ViaSpanTruncated) {
@@ -98,7 +106,8 @@ TEST(Mutation, ViaSpanTruncated) {
     }
   }
   ASSERT_TRUE(mutated);
-  EXPECT_FALSE(check_layout(f.o.graph, f.ml).ok);
+  EXPECT_FALSE(Checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule})
+                   .check().ok);
 }
 
 TEST(Mutation, SweepManySingleSegmentDeletions) {
@@ -113,7 +122,10 @@ TEST(Mutation, SweepManySingleSegmentDeletions) {
     MultilayerLayout copy = f.ml;
     copy.geom.segs.erase(copy.geom.segs.begin() + i);
     ++total;
-    if (!check_layout(f.o.graph, copy).ok) ++caught;
+    if (!Checker(f.o.graph, copy.geom, {.via_rule = copy.required_rule})
+             .check()
+             .ok)
+      ++caught;
   }
   EXPECT_GE(caught * 10, total * 7) << caught << "/" << total;
   // Deleting any LONG segment (a real track run) must always be caught.
@@ -121,7 +133,8 @@ TEST(Mutation, SweepManySingleSegmentDeletions) {
     if (f.ml.geom.segs[i].length() < 5) continue;
     MultilayerLayout copy = f.ml;
     copy.geom.segs.erase(copy.geom.segs.begin() + i);
-    EXPECT_FALSE(check_layout(f.o.graph, copy).ok) << "long segment " << i;
+    EXPECT_FALSE(Checker(f.o.graph, copy.geom, {.via_rule = copy.required_rule})
+                     .check().ok) << "long segment " << i;
     i += 7;  // sample
   }
 }

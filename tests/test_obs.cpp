@@ -433,7 +433,8 @@ TEST(Obs, PipelineEmitsEveryPhaseSpanAndExactGauges) {
 
   Orthogonal2Layer o = layout::layout_hypercube(4);
   MultilayerLayout ml = realize(o, {.L = 4});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   ASSERT_TRUE(res.ok) << res.error;
 
   LayoutMetrics m2 = compute_metrics(realize(o, {.L = 2}), o.graph);
@@ -536,19 +537,21 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
        {"--doctor", "--lint", "--trace", "--metrics", "--quiet", "-q", "-v",
         "-L <layers>", "-svg", "-congestion", "-nocheck", "-repair",
         "-baseline", "-save-baseline", "-disable", "-transparent",
-        "sweep <spec-range>", "-j <N>", "-nocache", "hypercube(n=4..8)",
-        "--deadline <ms>", "--sweep-deadline <ms>", "--retries <N>",
-        "--backoff <ms>", "--cache-capacity <N>", "--cache-capacity-bytes <N>",
-        "--soft-capacity <N>", "--journal <file>", "--resume <file>",
-        "layout_tool soak", "-iters <N>", "-seed <N>", "-fault-rate <pct>",
-        "bench-diff <baseline.json> <current.json>", "--max-regress",
-        "--noise-floor", "--json", "--save-baseline", "--metrics-interval",
-        "profile <trace.json>", "--report <file>", "--top <N>",
-        "--check-threads <N>", "checker workers over line groups",
+        "sweep <spec-range>", "-j <N>", "hypercube(n=4..8)",
+        "--deadline <ms>", "--sweep-deadline <ms>", "--journal <file>",
+        "--resume <file>", "bench-diff <baseline.json> <current.json>",
+        "--max-regress", "--noise-floor", "--json", "--save-baseline",
+        "--metrics-interval", "profile <trace.json>", "--report <file>",
+        "--top <N>", "--check-threads <N>", "checker workers over line groups",
         "--via-rule <rule>", "checker options",
         "exit codes: 0 valid, 1 invalid, 2 parse error, 3 usage"})
     EXPECT_NE(usage.find(needle), std::string::npos)
         << "usage text lost: " << needle;
+  // Flags and modes the tool no longer has must not be advertised.
+  for (const char* gone : {"-nocache", "--retries", "--backoff",
+                           "--cache-capacity", "--soft-capacity", "soak"})
+    EXPECT_EQ(usage.find(gone), std::string::npos)
+        << "usage text still names: " << gone;
 }
 
 // ------------------------------------------------------------ JSON parser

@@ -28,7 +28,8 @@ TEST_P(KarySweep, ValidAndExactBandArithmetic) {
   const auto [k, n, L] = GetParam();
   Orthogonal2Layer o = layout::layout_kary(k, n);
   MultilayerLayout ml = realize(o, {.L = L});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   ASSERT_TRUE(res.ok) << res.error;
 
   const std::uint32_t th = L / 2, tv = (L + 1) / 2;
@@ -61,7 +62,8 @@ TEST_P(HypercubeSweep, TrackCountsMatchFormulaPerBand) {
   for (std::uint32_t w : o.col_tracks)
     EXPECT_EQ(w, hypercube_track_formula(n - n / 2));
   MultilayerLayout ml = realize(o, {.L = 4});
-  CheckResult res = check_layout(o.graph, ml);
+  CheckReport res =
+      Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -74,7 +76,8 @@ TEST_P(GhcSweep, WiringAreaWithinPaperConstant) {
   const auto [r, L] = GetParam();
   Orthogonal2Layer o = layout::layout_ghc(r, 2);
   MultilayerLayout ml = realize(o, {.L = L});
-  ASSERT_TRUE(check_layout(o.graph, ml).ok);
+  ASSERT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
+                  .check().ok);
   // Wiring-only area must sit within ~(1 + o(1)) of r^2 N^2 / (4 l2); the
   // ceil() rounding may push small instances above, hence the slack.
   const double N = o.graph.num_nodes();
@@ -93,18 +96,13 @@ class LayerSweep : public testing::TestWithParam<std::uint32_t> {};
 
 TEST_P(LayerSweep, EveryFamilyValidAtThisL) {
   const std::uint32_t L = GetParam();
-  {
-    Orthogonal2Layer o = layout::layout_ccc(3);
-    EXPECT_TRUE(check_layout(o.graph, realize(o, {.L = L})).ok) << "ccc";
-  }
-  {
-    Orthogonal2Layer o = layout::layout_hsn(2, topo::make_ring(4));
-    EXPECT_TRUE(check_layout(o.graph, realize(o, {.L = L})).ok) << "hsn";
-  }
-  {
-    Orthogonal2Layer o = layout::layout_hypercube(4);
-    EXPECT_TRUE(check_layout(o.graph, realize(o, {.L = L})).ok) << "hypercube";
-  }
+  auto valid = [L](const Orthogonal2Layer& o) {
+    const MultilayerLayout ml = realize(o, {.L = L});
+    return Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check().ok;
+  };
+  EXPECT_TRUE(valid(layout::layout_ccc(3))) << "ccc";
+  EXPECT_TRUE(valid(layout::layout_hsn(2, topo::make_ring(4)))) << "hsn";
+  EXPECT_TRUE(valid(layout::layout_hypercube(4))) << "hypercube";
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LayerSweep, testing::Range(2u, 13u));

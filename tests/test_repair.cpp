@@ -27,7 +27,8 @@ struct Fixture {
   MultilayerLayout ml;
 
   Fixture() : o(layout::layout_kary(3, 2)), ml(realize(o, {.L = 4})) {
-    CheckResult res = check_layout(o.graph, ml);
+    CheckReport res =
+        Checker(o.graph, ml.geom, {.via_rule = ml.required_rule}).check();
     EXPECT_TRUE(res.ok) << res.error;
   }
 };
@@ -63,7 +64,8 @@ TEST(Repair, RepairsEverySingleEdgeFaultClass) {
       auto fault = robustness::inject(k, f.o.graph, geom, seed);
       if (!fault) continue;
       tried = true;
-      ASSERT_FALSE(check_layout(f.o.graph, geom, f.ml.required_rule).ok)
+      ASSERT_FALSE(Checker(f.o.graph, geom, {.via_rule = f.ml.required_rule})
+                       .check().ok)
           << robustness::fault_name(k);
 
       auto rep = robustness::repair_layout(f.o.graph, geom,
@@ -72,7 +74,8 @@ TEST(Repair, RepairsEverySingleEdgeFaultClass) {
           << robustness::fault_name(k) << " seed " << seed << " ("
           << fault->note << "): " << rep.failed.size() << " failed, "
           << rep.remaining.size() << " remaining";
-      CheckResult res = check_layout(f.o.graph, geom, f.ml.required_rule);
+      CheckReport res =
+          Checker(f.o.graph, geom, {.via_rule = f.ml.required_rule}).check();
       EXPECT_TRUE(res.ok) << robustness::fault_name(k) << ": " << res.error;
       EXPECT_FALSE(rep.ripped.empty()) << robustness::fault_name(k);
       EXPECT_FALSE(rep.rerouted.empty()) << robustness::fault_name(k);
@@ -96,7 +99,8 @@ TEST(Repair, RepairsCompoundDamage) {
                                        {.rule = f.ml.required_rule});
   EXPECT_TRUE(rep.ok) << rep.remaining.size() << " remaining";
   EXPECT_GE(rep.rerouted.size(), 2u);
-  EXPECT_TRUE(check_layout(f.o.graph, geom, f.ml.required_rule).ok);
+  EXPECT_TRUE(Checker(f.o.graph, geom, {.via_rule = f.ml.required_rule})
+                  .check().ok);
 }
 
 TEST(Repair, FrameViolationsAreUnrepairable) {
@@ -167,7 +171,7 @@ TEST(Repair, SameStripIsRoutableWithASecondLayer) {
   EXPECT_TRUE(rep.ok) << rep.remaining.size() << " remaining";
   ASSERT_EQ(rep.rerouted.size(), 1u);
   EXPECT_EQ(rep.rerouted[0], 0u);
-  CheckResult res = check_layout(g, geom, ViaRule::kBlocking);
+  CheckReport res = Checker(g, geom, {.via_rule = ViaRule::kBlocking}).check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 
@@ -188,8 +192,9 @@ TEST(Repair, RepairedLayoutRoundTripsThroughSerialization) {
   DiagnosticSink sink;
   auto loaded = io::parse_layout(is, &sink);
   ASSERT_TRUE(loaded.has_value()) << sink.summary();
-  CheckResult res = check_layout(loaded->graph, loaded->geom,
-                                 f.ml.required_rule);
+  CheckReport res =
+      Checker(loaded->graph, loaded->geom, {.via_rule = f.ml.required_rule})
+          .check();
   EXPECT_TRUE(res.ok) << res.error;
 }
 

@@ -1,7 +1,7 @@
 // Multi-thread hammer suite for every internally synchronized component:
 // MetricsRegistry counters/gauges/histograms, TraceSession span nesting
-// across threads, OrthoCache get-or-build on colliding keys plus the
-// CacheStats snapshot contract under contention, DiagnosticSink concurrent
+// across threads, the sweep's build-once table under eight workers sharing
+// four specs, DiagnosticSink concurrent
 // reporting, the CancelToken latch tree, the SweepJournal writer, the
 // MetricsSampler shutdown handshake, and the annotated Mutex/CondVar
 // wrappers themselves.
@@ -29,7 +29,7 @@
 #include "core/diagnostics.hpp"
 #include "core/thread_annotations.hpp"
 #include "engine/journal.hpp"
-#include "engine/ortho_cache.hpp"
+#include "engine/sweep.hpp"
 #include "layout/hypercube_layout.hpp"
 #include "obs/metrics.hpp"
 #include "obs/sampler.hpp"
@@ -135,85 +135,37 @@ TEST(ThreadingTrace, NestedSpansAcrossThreadsStayBalanced) {
   }
 }
 
-// -------------------------------------------------------------- OrthoCache
+// -------------------------------------------------------------- BuildTable
 
-TEST(ThreadingOrthoCache, CollidingGetOrBuildBuildsEachKeyOnce) {
-  engine::OrthoCache cache;
-  constexpr int kKeys = 6;
-  constexpr int kIters = 50;
-  std::atomic<std::uint64_t> builds{0};
-  std::atomic<std::uint64_t> mismatches{0};
-  std::vector<engine::OrthoCache::Ptr> first(kKeys);
-
-  // Warm one reference pointer per key, serially, so threads can compare.
-  for (int k = 0; k < kKeys; ++k)
-    first[k] = cache.get_or_build("key" + std::to_string(k), [&] {
-      builds.fetch_add(1, std::memory_order_relaxed);
-      return layout::layout_hypercube(2 + (k % 3));
-    });
-
-  run_threads([&](unsigned t) {
-    for (int i = 0; i < kIters; ++i) {
-      const int k = static_cast<int>(t + i) % kKeys;
-      bool hit = false;
-      engine::OrthoCache::Ptr p =
-          cache.get_or_build("key" + std::to_string(k),
-                             [&] {
-                               builds.fetch_add(1, std::memory_order_relaxed);
-                               return layout::layout_hypercube(2 + (k % 3));
-                             },
-                             &hit);
-      if (p != first[k] || !hit)
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  EXPECT_EQ(builds.load(), static_cast<std::uint64_t>(kKeys));
-  EXPECT_EQ(mismatches.load(), 0u);
-  const engine::CacheStats s = cache.stats();
-  EXPECT_EQ(s.misses, static_cast<std::uint64_t>(kKeys));
-  EXPECT_EQ(s.hits, static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(s.entries, static_cast<std::size_t>(kKeys));
-}
-
-TEST(ThreadingOrthoCache, StatsSnapshotIsMonotoneUnderContention) {
-  engine::OrthoCache cache;
-  cache.set_capacity(4);  // force eviction churn while workers hammer
-  std::atomic<bool> done{false};
-
-  // Reader: the documented CacheStats contract — every monotonic field is
-  // non-decreasing between two snapshots taken from one thread, even while
-  // builders and evictions race underneath.
-  std::atomic<std::uint64_t> violations{0};
-  std::thread reader([&] {
-    engine::CacheStats prev = cache.stats();
-    while (!done.load(std::memory_order_acquire)) {
-      const engine::CacheStats now = cache.stats();
-      if (now.hits < prev.hits || now.misses < prev.misses ||
-          now.evictions < prev.evictions)
-        violations.fetch_add(1, std::memory_order_relaxed);
-      prev = now;
-    }
-  });
-
-  run_threads([&](unsigned t) {
-    for (int i = 0; i < 40; ++i) {
-      const int k = static_cast<int>(t * 40 + i) % 12;  // > capacity keys
-      cache.get_or_build("stats" + std::to_string(k),
-                         [&] { return layout::layout_hypercube(2); });
-    }
-  });
-  done.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(violations.load(), 0u);
-  const engine::CacheStats s = cache.stats();
-  // Quiesced cross-field coherence: every lookup was a hit or a miss, the
-  // entry count respects the bound, and eviction happened at all.
-  EXPECT_EQ(s.hits + s.misses, static_cast<std::uint64_t>(kThreads) * 40);
-  EXPECT_LE(s.entries, 4u);
-  EXPECT_GT(s.evictions, 0u);
-  EXPECT_EQ(s.entries, cache.size());
+TEST(ThreadingBuildTable, EightWorkersBuildEachSpecOnce) {
+  // Four specs, each swept over many layer counts and interleaved so that
+  // workers collide on every slot: each spec is built exactly once, and
+  // every job reports what a one-worker run reports.
+  const api::FamilyRegistry& reg = api::FamilyRegistry::instance();
+  std::vector<engine::SweepJob> jobs;
+  for (std::uint32_t L = 2; L <= 13; ++L)
+    for (const char* spec : {"hypercube(n=5)", "kary(k=4,n=2)",
+                             "ccc(n=4)", "butterfly(k=4)"})
+      jobs.push_back({*reg.parse(spec), {.L = L}});
+  const engine::SweepReport par = engine::run_sweep(jobs, {.threads = 8});
+  const engine::SweepReport ser = engine::run_sweep(jobs, {.threads = 1});
+  ASSERT_TRUE(par.all_ok());
+  EXPECT_EQ(par.cache_misses, 4u);
+  EXPECT_EQ(par.cache_hits, jobs.size() - 4);
+  ASSERT_EQ(par.jobs.size(), ser.jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const engine::JobResult& p = par.jobs[i];
+    const engine::JobResult& q = ser.jobs[i];
+    EXPECT_EQ(p.nodes, q.nodes) << i;
+    EXPECT_EQ(p.edges, q.edges) << i;
+    EXPECT_EQ(p.metrics.width, q.metrics.width) << i;
+    EXPECT_EQ(p.metrics.height, q.metrics.height) << i;
+    EXPECT_EQ(p.metrics.area, q.metrics.area) << i;
+    EXPECT_EQ(p.metrics.volume, q.metrics.volume) << i;
+    EXPECT_EQ(p.metrics.total_wire_length, q.metrics.total_wire_length) << i;
+    EXPECT_EQ(p.metrics.max_wire_length, q.metrics.max_wire_length) << i;
+    EXPECT_EQ(p.metrics.via_count, q.metrics.via_count) << i;
+  }
 }
 
 // ---------------------------------------------------------- DiagnosticSink
@@ -285,7 +237,6 @@ TEST(ThreadingJournal, ConcurrentRecordsAllLandIntact) {
         r.L = 2 + (t + static_cast<unsigned>(i)) % 60;
         r.ok = true;
         r.verdict = engine::JobVerdict::kOk;
-        r.attempts = 1;
         r.nodes = t;
         r.edges = static_cast<std::uint64_t>(i);
         journal.record(r);
