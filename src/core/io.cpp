@@ -1,63 +1,195 @@
 #include "core/io.hpp"
 
+#include <algorithm>
 #include <charconv>
+#include <cstring>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <vector>
+
+#include "obs/trace.hpp"
 
 namespace mlvl::io {
 namespace {
 
-// Line-oriented scanner with one-line pushback, so a reader can stop at the
-// first tag it does not own and leave the stream (and the line count) for the
-// next section. The current line and its tokens live in reused buffers, so
-// scanning allocates nothing per line; unread() steps the stream back over
-// the line by a relative seek, which both file and string streams provide.
-struct Scanner {
-  std::istream& is;
-  std::uint32_t line;
-  std::string text{};                  ///< the current line
-  std::vector<std::string_view> tk{};  ///< its whitespace-separated tokens
-  bool newline = false;                ///< the current line ended in '\n'
+// ---- writer ----------------------------------------------------------------
 
+// Formats records with std::to_chars into a fixed chunk and hands the stream
+// one write() per full chunk: no locale and no sentry per field. A failing
+// stream gets badbit from write(), as it did from operator<<.
+class ChunkWriter {
+ public:
+  explicit ChunkWriter(std::ostream& os) : os_(os) {}
+  ChunkWriter(const ChunkWriter&) = delete;
+  ChunkWriter& operator=(const ChunkWriter&) = delete;
+
+  /// One line: `tag`, then each field after a space, then '\n'.
+  template <typename... Fields>
+  void record(std::string_view tag, Fields... fields) {
+    static_assert((std::is_unsigned_v<Fields> && ...));
+    static_assert(((sizeof(Fields) <= sizeof(std::uint32_t)) && ...));
+    constexpr std::size_t kField = 1 + 10;  // separator + UINT32_MAX digits
+    if (static_cast<std::size_t>(buf_ + kChunk - p_) <
+        tag.size() + sizeof...(Fields) * kField + 1)
+      flush();
+    p_ = std::copy(tag.begin(), tag.end(), p_);
+    ((*p_++ = ' ', p_ = std::to_chars(p_, buf_ + kChunk, fields).ptr), ...);
+    *p_++ = '\n';
+  }
+
+  /// Hand the buffered records to the stream.
+  void flush() {
+    os_.write(buf_, p_ - buf_);
+    bytes_ += static_cast<std::uint64_t>(p_ - buf_);
+    p_ = buf_;
+  }
+
+  /// Bytes flushed so far.
+  [[nodiscard]] std::uint64_t bytes() const { return bytes_; }
+
+ private:
+  static constexpr std::size_t kChunk = 4096;
+  std::ostream& os_;
+  std::uint64_t bytes_ = 0;
+  char* p_ = buf_;
+  char buf_[kChunk];
+};
+
+void put_graph(ChunkWriter& w, const Graph& g) {
+  w.record("mlvl-graph 1");
+  w.record("nodes", g.num_nodes());
+  for (const Edge& e : g.edges()) w.record("edge", e.u, e.v);
+}
+
+void put_geometry(ChunkWriter& w, const LayoutGeometry& geom) {
+  w.record("mlvl-geom 1");
+  w.record("dims", geom.width, geom.height, geom.num_layers);
+  for (const NodeBox& b : geom.boxes)
+    w.record("box", b.node, b.x, b.y, b.w, b.h, b.layer);
+  for (const WireSeg& s : geom.segs)
+    w.record("seg", s.edge, s.x1, s.y1, s.x2, s.y2, s.layer);
+  for (const Via& v : geom.vias) w.record("via", v.edge, v.x, v.y, v.z1, v.z2);
+}
+
+std::uint64_t records(const Graph& g, const LayoutGeometry& geom) {
+  return g.num_edges() + geom.boxes.size() + geom.segs.size() +
+         geom.vias.size();
+}
+
+// ---- reader ----------------------------------------------------------------
+
+/// The rest of `is`, read through its streambuf in large chunks. One pass
+/// and no seek, so a pipe parses like a file.
+std::string slurp(std::istream& is) {
+  std::string text;
+  const std::istream::sentry ok(is, /*noskipws=*/true);
+  if (!ok) return text;
+  std::streambuf& sb = *is.rdbuf();
+  constexpr std::streamsize kChunk = std::streamsize{1} << 16;
+  std::size_t n = 0;
+  for (;;) {
+    // A file or string buffer knows how much is left: read it all at once.
+    const std::streamsize want = std::max(kChunk, sb.in_avail() + 1);
+    text.resize(n + static_cast<std::size_t>(want));
+    const std::streamsize got = sb.sgetn(text.data() + n, want);
+    n += static_cast<std::size_t>(std::max<std::streamsize>(got, 0));
+    if (got < want) break;
+  }
+  text.resize(n);
+  return text;
+}
+
+constexpr bool blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
+
+// Line cursor over text held in memory. A line runs to the next '\n' (found
+// with memchr) or to the end of the text, so a last line without '\n' counts
+// and an empty text has no lines. Fields are separated by blanks (space, tab,
+// CR) and scanned in place; stepping back over a line resets the cursor.
+class Cursor {
+ public:
+  Cursor(std::string_view text, std::uint32_t line)
+      : line(line), pos_(text.data()), end_(text.data() + text.size()) {}
+
+  /// Advance to the next line; false at the end of the text.
   bool next() {
-    if (!std::getline(is, text)) return false;
-    newline = !is.eof();
+    if (pos_ == end_) return false;
+    bol_ = at_ = pos_;
+    const void* nl =
+        std::memchr(pos_, '\n', static_cast<std::size_t>(end_ - pos_));
+    eol_ = nl ? static_cast<const char*>(nl) : end_;
+    pos_ = nl ? eol_ + 1 : end_;
     ++line;
-    tokenize();
     return true;
   }
+  /// Advance to the next line that is not blank; false at the end.
+  bool next_filled() {
+    do {
+      if (!next()) return false;
+    } while (at_end());
+    return true;
+  }
+  /// Step back over the current line: next() returns it again.
   void unread() {
-    is.clear();
-    is.seekg(-static_cast<std::streamoff>(text.size() + (newline ? 1 : 0)),
-             std::ios::cur);
+    pos_ = bol_;
     --line;
   }
 
- private:
-  void tokenize() {
-    tk.clear();
-    const std::string_view s = text;
-    auto blank = [](char c) { return c == ' ' || c == '\t' || c == '\r'; };
-    std::size_t i = 0;
-    while (i < s.size()) {
-      while (i < s.size() && blank(s[i])) ++i;
-      std::size_t j = i;
-      while (j < s.size() && !blank(s[j])) ++j;
-      if (j > i) tk.push_back(s.substr(i, j - i));
-      i = j;
-    }
+  /// The current line, without its '\n'.
+  [[nodiscard]] std::string_view text() const {
+    return {bol_, static_cast<std::size_t>(eol_ - bol_)};
   }
-};
+  /// Where the text after the current line starts.
+  [[nodiscard]] const char* rest() const { return pos_; }
 
-template <typename U>
-bool parse_uint(std::string_view t, U& out) {
-  auto [p, ec] = std::from_chars(t.data(), t.data() + t.size(), out);
-  return ec == std::errc{} && p == t.data() + t.size();
-}
+  /// True when the rest of the current line is blank.
+  bool at_end() {
+    skip();
+    return at_ == eol_;
+  }
+  /// The next field of the current line; empty at its end.
+  std::string_view word() {
+    skip();
+    const char* b = at_;
+    while (at_ != eol_ && !blank(*at_)) ++at_;
+    return {b, static_cast<std::size_t>(at_ - b)};
+  }
+  /// The next field as an unsigned number: digits only, in range for `U`.
+  /// `digits` (optional) receives the field's text.
+  template <typename U>
+  bool number(U& out, std::string_view* digits = nullptr) {
+    skip();
+    const auto [p, ec] = std::from_chars(at_, eol_, out);
+    if (ec != std::errc{} || (p != eol_ && !blank(*p))) return false;
+    if (digits) *digits = {at_, static_cast<std::size_t>(p - at_)};
+    at_ = p;
+    return true;
+  }
+  /// A layer field: a number no greater than 65535.
+  bool layer(std::uint16_t& out) {
+    std::uint32_t v = 0;
+    if (!number(v) || v > std::numeric_limits<std::uint16_t>::max())
+      return false;
+    out = static_cast<std::uint16_t>(v);
+    return true;
+  }
+
+  std::uint32_t line;  ///< 1-based number of the current line
+
+ private:
+  void skip() {
+    while (at_ != eol_ && blank(*at_)) ++at_;
+  }
+
+  const char* pos_;            ///< start of the next line
+  const char* end_;            ///< end of the text
+  const char* bol_ = nullptr;  ///< start of the current line
+  const char* eol_ = nullptr;  ///< its end ('\n' or end of text)
+  const char* at_ = nullptr;   ///< field scan position within it
+};
 
 void report(DiagnosticSink* sink, Code code, std::uint32_t line,
             std::string detail) {
@@ -65,226 +197,200 @@ void report(DiagnosticSink* sink, Code code, std::uint32_t line,
     sink->report({.code = code, .line = line, .detail = std::move(detail)});
 }
 
-void sync_line(std::uint32_t* line_io, const Scanner& sc) {
-  if (line_io) *line_io = sc.line;
+/// `prefix` and the current line in single quotes.
+std::string quoted(std::string prefix, const Cursor& c) {
+  prefix += '\'';
+  prefix += c.text();
+  prefix += '\'';
+  return prefix;
+}
+
+std::string got(const char* want, const Cursor& c) {
+  return quoted(std::string("expected '") + want + "', got ", c);
+}
+
+// The section scanners stop before the first line whose tag they do not own,
+// leaving it (and the line count) to the next section.
+
+std::optional<Graph> scan_graph(Cursor& c, DiagnosticSink* sink) {
+  auto fail = [&](Code code, std::string detail) {
+    report(sink, code, c.line, std::move(detail));
+    return std::nullopt;
+  };
+  if (!c.next_filled())
+    return fail(Code::kParseBadHeader, "missing mlvl-graph header");
+  if (c.word() != "mlvl-graph" || c.word() != "1" || !c.at_end())
+    return fail(Code::kParseBadHeader, got("mlvl-graph 1", c));
+
+  NodeId n = 0;
+  if (!c.next_filled())
+    return fail(Code::kParseBadRecord, "missing 'nodes' record");
+  if (c.word() != "nodes" || !c.number(n) || !c.at_end())
+    return fail(Code::kParseBadRecord, got("nodes <N>", c));
+
+  Graph g(n);
+  while (c.next()) {
+    if (c.at_end()) continue;
+    if (c.word() != "edge") {
+      c.unread();
+      break;
+    }
+    NodeId u = 0, v = 0;
+    std::string_view u_digits;
+    if (!c.number(u, &u_digits) || !c.number(v) || !c.at_end())
+      return fail(Code::kParseBadRecord, got("edge <u> <v>", c));
+    if (u == v)
+      return fail(Code::kParseBadValue,
+                  "self-loop at node " + std::string(u_digits));
+    if (u >= n || v >= n)
+      return fail(Code::kParseBadValue,
+                  "edge endpoint beyond " + std::to_string(n) + " nodes");
+    g.add_edge(u, v);
+  }
+  return g;
+}
+
+std::optional<LayoutGeometry> scan_geometry(Cursor& c, DiagnosticSink* sink) {
+  auto fail = [&](Code code, std::string detail) {
+    report(sink, code, c.line, std::move(detail));
+    return std::nullopt;
+  };
+  if (!c.next_filled())
+    return fail(Code::kParseBadHeader, "missing mlvl-geom header");
+  if (c.word() != "mlvl-geom" || c.word() != "1" || !c.at_end())
+    return fail(Code::kParseBadHeader, got("mlvl-geom 1", c));
+
+  LayoutGeometry geom;
+  std::uint32_t layers = 0;
+  std::string_view layer_digits;
+  if (!c.next_filled())
+    return fail(Code::kParseBadRecord, "missing 'dims' record");
+  if (c.word() != "dims" || !c.number(geom.width) || !c.number(geom.height) ||
+      !c.number(layers, &layer_digits) || !c.at_end())
+    return fail(Code::kParseBadRecord, got("dims <w> <h> <layers>", c));
+  if (layers > std::numeric_limits<std::uint16_t>::max())
+    return fail(Code::kParseBadValue, "layer count " +
+                                          std::string(layer_digits) +
+                                          " exceeds 65535");
+  geom.num_layers = static_cast<std::uint16_t>(layers);
+
+  while (c.next()) {
+    if (c.at_end()) continue;
+    const std::string_view tag = c.word();
+    if (tag == "seg") {
+      WireSeg s;
+      if (!c.number(s.edge) || !c.number(s.x1) || !c.number(s.y1) ||
+          !c.number(s.x2) || !c.number(s.y2) || !c.layer(s.layer) ||
+          !c.at_end())
+        return fail(Code::kParseBadRecord,
+                    got("seg <edge> <x1> <y1> <x2> <y2> <layer>", c));
+      geom.segs.push_back(s);
+    } else if (tag == "via") {
+      Via v;
+      if (!c.number(v.edge) || !c.number(v.x) || !c.number(v.y) ||
+          !c.layer(v.z1) || !c.layer(v.z2) || !c.at_end())
+        return fail(Code::kParseBadRecord,
+                    got("via <edge> <x> <y> <z1> <z2>", c));
+      geom.vias.push_back(v);
+    } else if (tag == "box") {
+      NodeBox b;
+      if (!c.number(b.node) || !c.number(b.x) || !c.number(b.y) ||
+          !c.number(b.w) || !c.number(b.h) || !c.layer(b.layer) ||
+          !c.at_end())
+        return fail(Code::kParseBadRecord,
+                    got("box <node> <x> <y> <w> <h> <layer>", c));
+      geom.boxes.push_back(b);
+    } else {
+      c.unread();
+      break;
+    }
+  }
+  return geom;
+}
+
+/// A valid layout owns the rest of the text: anything after the geometry
+/// block is a corruption signal, not an extension point. The geometry scan
+/// skips blank lines and stops only at a line it does not own, so any line
+/// left is garbage.
+bool scan_end(Cursor& c, DiagnosticSink* sink) {
+  if (!c.next()) return true;
+  report(sink, Code::kParseTrailingGarbage, c.line, quoted("", c));
+  return false;
+}
+
+/// One section of a stream that may hold more: read the rest of the stream,
+/// scan the section, then put the stream just past it with one absolute
+/// seek so the next section reader starts there. A stream that cannot seek
+/// is left consumed.
+template <typename Scan>
+auto read_section(std::istream& is, std::uint32_t* line_io, Scan scan) {
+  const std::streampos start = is.tellg();
+  const std::string text = slurp(is);
+  Cursor c(text, line_io ? *line_io : 0);
+  auto out = scan(c);
+  if (line_io) *line_io = c.line;
+  if (start != std::streampos(-1)) {
+    is.clear();
+    is.seekg(start + static_cast<std::streamoff>(c.rest() - text.data()));
+  }
+  return out;
 }
 
 }  // namespace
 
 void write_graph(std::ostream& os, const Graph& g) {
-  os << "mlvl-graph 1\n";
-  os << "nodes " << g.num_nodes() << "\n";
-  for (const Edge& e : g.edges()) os << "edge " << e.u << " " << e.v << "\n";
+  ChunkWriter w(os);
+  put_graph(w, g);
+  w.flush();
 }
 
 void write_geometry(std::ostream& os, const LayoutGeometry& geom) {
-  os << "mlvl-geom 1\n";
-  os << "dims " << geom.width << " " << geom.height << " " << geom.num_layers
-     << "\n";
-  for (const NodeBox& b : geom.boxes)
-    os << "box " << b.node << " " << b.x << " " << b.y << " " << b.w << " "
-       << b.h << " " << b.layer << "\n";
-  for (const WireSeg& s : geom.segs)
-    os << "seg " << s.edge << " " << s.x1 << " " << s.y1 << " " << s.x2 << " "
-       << s.y2 << " " << s.layer << "\n";
-  for (const Via& v : geom.vias)
-    os << "via " << v.edge << " " << v.x << " " << v.y << " " << v.z1 << " "
-       << v.z2 << "\n";
+  ChunkWriter w(os);
+  put_geometry(w, geom);
+  w.flush();
 }
 
 std::optional<Graph> read_graph(std::istream& is, DiagnosticSink* sink,
                                 std::uint32_t* line_io) {
-  Scanner sc{is, line_io ? *line_io : 0};
-  const std::string& ln = sc.text;
-  const std::vector<std::string_view>& tk = sc.tk;
-  do {  // header, skipping blank lines
-    if (!sc.next()) {
-      report(sink, Code::kParseBadHeader, sc.line, "missing mlvl-graph header");
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-  } while (tk.empty());
-  if (tk.size() != 2 || tk[0] != "mlvl-graph" || tk[1] != "1") {
-    report(sink, Code::kParseBadHeader, sc.line,
-           "expected 'mlvl-graph 1', got '" + ln + "'");
-    sync_line(line_io, sc);
-    return std::nullopt;
-  }
-
-  NodeId n = 0;
-  do {
-    if (!sc.next()) {
-      report(sink, Code::kParseBadRecord, sc.line, "missing 'nodes' record");
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-  } while (tk.empty());
-  if (tk.size() != 2 || tk[0] != "nodes" || !parse_uint(tk[1], n)) {
-    report(sink, Code::kParseBadRecord, sc.line,
-           "expected 'nodes <N>', got '" + ln + "'");
-    sync_line(line_io, sc);
-    return std::nullopt;
-  }
-
-  Graph g(n);
-  while (sc.next()) {
-    if (tk.empty()) continue;
-    if (tk[0] != "edge") {
-      sc.unread();
-      break;
-    }
-    NodeId u = 0, v = 0;
-    if (tk.size() != 3 || !parse_uint(tk[1], u) || !parse_uint(tk[2], v)) {
-      report(sink, Code::kParseBadRecord, sc.line,
-             "expected 'edge <u> <v>', got '" + ln + "'");
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-    if (u == v) {
-      report(sink, Code::kParseBadValue, sc.line,
-             "self-loop at node " + std::string(tk[1]));
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-    if (u >= n || v >= n) {
-      report(sink, Code::kParseBadValue, sc.line,
-             "edge endpoint beyond " + std::to_string(n) + " nodes");
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-    g.add_edge(u, v);
-  }
-  is.clear();
-  sync_line(line_io, sc);
-  return g;
+  return read_section(is, line_io,
+                      [&](Cursor& c) { return scan_graph(c, sink); });
 }
 
 std::optional<LayoutGeometry> read_geometry(std::istream& is,
                                             DiagnosticSink* sink,
                                             std::uint32_t* line_io) {
-  Scanner sc{is, line_io ? *line_io : 0};
-  const std::string& ln = sc.text;
-  const std::vector<std::string_view>& tk = sc.tk;
-  do {
-    if (!sc.next()) {
-      report(sink, Code::kParseBadHeader, sc.line, "missing mlvl-geom header");
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-  } while (tk.empty());
-  if (tk.size() != 2 || tk[0] != "mlvl-geom" || tk[1] != "1") {
-    report(sink, Code::kParseBadHeader, sc.line,
-           "expected 'mlvl-geom 1', got '" + ln + "'");
-    sync_line(line_io, sc);
-    return std::nullopt;
-  }
-
-  LayoutGeometry geom;
-  std::uint32_t layers = 0;
-  do {
-    if (!sc.next()) {
-      report(sink, Code::kParseBadRecord, sc.line, "missing 'dims' record");
-      sync_line(line_io, sc);
-      return std::nullopt;
-    }
-  } while (tk.empty());
-  if (tk.size() != 4 || tk[0] != "dims" || !parse_uint(tk[1], geom.width) ||
-      !parse_uint(tk[2], geom.height) || !parse_uint(tk[3], layers)) {
-    report(sink, Code::kParseBadRecord, sc.line,
-           "expected 'dims <w> <h> <layers>', got '" + ln + "'");
-    sync_line(line_io, sc);
-    return std::nullopt;
-  }
-  if (layers > std::numeric_limits<std::uint16_t>::max()) {
-    report(sink, Code::kParseBadValue, sc.line,
-           "layer count " + std::string(tk[3]) + " exceeds 65535");
-    sync_line(line_io, sc);
-    return std::nullopt;
-  }
-  geom.num_layers = static_cast<std::uint16_t>(layers);
-
-  auto bad_record = [&](const char* want) {
-    report(sink, Code::kParseBadRecord, sc.line,
-           std::string("expected '") + want + "', got '" + ln + "'");
-    sync_line(line_io, sc);
-  };
-  auto layer_field = [&](std::string_view t, std::uint16_t& out) {
-    std::uint32_t v = 0;
-    if (!parse_uint(t, v) || v > std::numeric_limits<std::uint16_t>::max())
-      return false;
-    out = static_cast<std::uint16_t>(v);
-    return true;
-  };
-
-  while (sc.next()) {
-    if (tk.empty()) continue;
-    if (tk[0] == "box") {
-      NodeBox b;
-      if (tk.size() != 7 || !parse_uint(tk[1], b.node) ||
-          !parse_uint(tk[2], b.x) || !parse_uint(tk[3], b.y) ||
-          !parse_uint(tk[4], b.w) || !parse_uint(tk[5], b.h) ||
-          !layer_field(tk[6], b.layer)) {
-        bad_record("box <node> <x> <y> <w> <h> <layer>");
-        return std::nullopt;
-      }
-      geom.boxes.push_back(b);
-    } else if (tk[0] == "seg") {
-      WireSeg s;
-      if (tk.size() != 7 || !parse_uint(tk[1], s.edge) ||
-          !parse_uint(tk[2], s.x1) || !parse_uint(tk[3], s.y1) ||
-          !parse_uint(tk[4], s.x2) || !parse_uint(tk[5], s.y2) ||
-          !layer_field(tk[6], s.layer)) {
-        bad_record("seg <edge> <x1> <y1> <x2> <y2> <layer>");
-        return std::nullopt;
-      }
-      geom.segs.push_back(s);
-    } else if (tk[0] == "via") {
-      Via v;
-      if (tk.size() != 6 || !parse_uint(tk[1], v.edge) ||
-          !parse_uint(tk[2], v.x) || !parse_uint(tk[3], v.y) ||
-          !layer_field(tk[4], v.z1) || !layer_field(tk[5], v.z2)) {
-        bad_record("via <edge> <x> <y> <z1> <z2>");
-        return std::nullopt;
-      }
-      geom.vias.push_back(v);
-    } else {
-      sc.unread();
-      break;
-    }
-  }
-  is.clear();
-  sync_line(line_io, sc);
-  return geom;
+  return read_section(is, line_io,
+                      [&](Cursor& c) { return scan_geometry(c, sink); });
 }
 
 std::optional<LoadedLayout> parse_layout(std::istream& is,
                                          DiagnosticSink* sink) {
-  std::uint32_t line = 0;
-  auto g = read_graph(is, sink, &line);
+  obs::Span span("io.parse");
+  const std::string text = slurp(is);
+  span.arg("bytes", std::uint64_t{text.size()});
+  Cursor c(text, 0);
+  std::optional<Graph> g = scan_graph(c, sink);
   if (!g) return std::nullopt;
-  auto geom = read_geometry(is, sink, &line);
-  if (!geom) return std::nullopt;
-  // A valid layout owns the rest of the stream: anything non-blank after the
-  // geometry block is a corruption signal, not an extension point.
-  std::string ln;
-  while (std::getline(is, ln)) {
-    ++line;
-    if (ln.find_first_not_of(" \t\r") != std::string::npos) {
-      report(sink, Code::kParseTrailingGarbage, line, "'" + ln + "'");
-      return std::nullopt;
-    }
-  }
-  is.clear();
+  std::optional<LayoutGeometry> geom = scan_geometry(c, sink);
+  if (!geom || !scan_end(c, sink)) return std::nullopt;
+  span.arg("records", records(*g, *geom));
   return LoadedLayout{std::move(*g), std::move(*geom)};
 }
 
 bool save_layout(const std::string& path, const Graph& g,
                  const LayoutGeometry& geom) {
+  obs::Span span("io.save");
   std::ofstream out(path);
   if (!out) return false;
-  write_graph(out, g);
-  write_geometry(out, geom);
-  return static_cast<bool>(out);
+  ChunkWriter w(out);
+  put_graph(w, g);
+  put_geometry(w, geom);
+  w.flush();
+  span.arg("bytes", w.bytes()).arg("records", records(g, geom));
+  // The file buffer's last bytes reach the disk only at close(): a save is
+  // good only if that final flush is.
+  out.close();
+  return !out.fail();
 }
 
 std::optional<LoadedLayout> load_layout(const std::string& path,

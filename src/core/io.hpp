@@ -18,6 +18,13 @@
 // mode maps to a parse diagnostic (Code::kParse*) carrying the 1-based input
 // line, reported to the optional DiagnosticSink. The historical nullopt-only
 // API is preserved by defaulting the sink to nullptr.
+//
+// Fields are separated by spaces, tabs or CRs; blank lines and a last line
+// without '\n' are allowed. `parse_layout` and `load_layout` read the stream
+// once and never seek it, so the input may be a pipe. `read_graph` and
+// `read_geometry` read one section of a stream that may hold more and seek
+// the stream back to just past it; only a seekable stream can continue to
+// the next section.
 #pragma once
 
 #include <iosfwd>

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "core/checker.hpp"
 #include "core/multilayer.hpp"
+#include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
 
 namespace mlvl {
@@ -127,6 +132,78 @@ TEST(Io, SectionPushbackKeepsLinesAndEndings) {
   EXPECT_FALSE(io::parse_layout(bad, &bad_sink).has_value());
   ASSERT_FALSE(bad_sink.empty());
   EXPECT_EQ(bad_sink.first()->line, 7u);
+}
+
+/// Pipe-like input: hands out the text a few bytes per underflow and cannot
+/// seek, as `cat net.mlvl | layout_tool --doctor /dev/stdin` does.
+class PipeBuf : public std::streambuf {
+ public:
+  explicit PipeBuf(std::string text) : text_(std::move(text)) {}
+
+ protected:
+  int_type underflow() override {
+    if (next_ == text_.size()) return traits_type::eof();
+    const std::size_t n = std::min<std::size_t>(7, text_.size() - next_);
+    char* at = text_.data() + next_;
+    setg(at, at, at + n);
+    next_ += n;
+    return traits_type::to_int_type(*at);
+  }
+  pos_type seekoff(off_type, std::ios_base::seekdir,
+                   std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+  pos_type seekpos(pos_type, std::ios_base::openmode) override {
+    return pos_type(off_type(-1));
+  }
+
+ private:
+  std::string text_;
+  std::size_t next_ = 0;
+};
+
+// A pipe cannot step back, so the reader must find the graph/geometry
+// boundary without seeking the stream.
+TEST(Io, ParsesFromAStreamThatCannotSeek) {
+  Orthogonal2Layer o = layout::layout_hypercube(4);
+  MultilayerLayout ml = realize(o, {.L = 4});
+  std::ostringstream os;
+  io::write_graph(os, o.graph);
+  io::write_geometry(os, ml.geom);
+
+  PipeBuf pipe(os.str());
+  std::istream is(&pipe);
+  DiagnosticSink sink;
+  auto loaded = io::parse_layout(is, &sink);
+  ASSERT_TRUE(loaded.has_value()) << sink.summary();
+  EXPECT_EQ(loaded->graph.num_edges(), o.graph.num_edges());
+  EXPECT_EQ(loaded->geom.segs.size(), ml.geom.segs.size());
+  EXPECT_EQ(loaded->geom.vias.size(), ml.geom.vias.size());
+  std::ostringstream again;
+  io::write_graph(again, loaded->graph);
+  io::write_geometry(again, loaded->geom);
+  EXPECT_EQ(again.str(), os.str());
+
+  // A bad record is still reported on its own line.
+  PipeBuf bad("mlvl-graph 1\nnodes 2\nedge 0 1\nmlvl-geom 1\n\ndims 4 4 x\n");
+  std::istream bad_is(&bad);
+  DiagnosticSink bad_sink;
+  EXPECT_FALSE(io::parse_layout(bad_is, &bad_sink).has_value());
+  ASSERT_EQ(bad_sink.size(), 1u);
+  EXPECT_EQ(bad_sink.first()->code, Code::kParseBadRecord);
+  EXPECT_EQ(bad_sink.first()->line, 6u);
+}
+
+// The file buffer's last bytes reach the disk only when the stream closes; a
+// small layout fits in that buffer, so a full disk shows up only there.
+TEST(Io, SaveFailsWhenTheFinalFlushFails) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Graph g(2);
+  g.add_edge(0, 1);
+  LayoutGeometry geom;
+  geom.width = 4;
+  geom.height = 4;
+  EXPECT_FALSE(io::save_layout("/dev/full", g, geom));
 }
 
 }  // namespace

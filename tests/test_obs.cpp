@@ -3,6 +3,7 @@
 // instrumentation of the layout pipeline.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -446,13 +447,35 @@ TEST(Obs, PipelineEmitsEveryPhaseSpanAndExactGauges) {
   DiagnosticSink lint_sink(256);
   analysis::lint_layout(o.graph, ml.geom, cfg, lint_sink);
 
+  // What `-save` and `--doctor` do with the layout's text.
+  const std::string path = testing::TempDir() + "/mlvl_obs_trace.mlvl";
+  ASSERT_TRUE(io::save_layout(path, o.graph, ml.geom));
+  ASSERT_TRUE(io::load_layout(path).has_value());
+
   LayoutMetrics m = compute_metrics(ml, o.graph);  // last: final gauges
   obs::TraceSession::uninstall();
   obs::MetricsRegistry::uninstall();
 
-  for (const char* phase :
-       {"placement", "interval", "routing", "check", "fold", "lint"})
+  for (const char* phase : {"placement", "interval", "routing", "check",
+                            "fold", "lint", "io.save", "io.parse"})
     EXPECT_TRUE(trace.has_span(phase)) << "missing span: " << phase;
+
+  // Both io spans carry the text's size and its record count.
+  std::ostringstream text;
+  io::write_graph(text, o.graph);
+  io::write_geometry(text, ml.geom);
+  const std::string records = std::to_string(
+      o.graph.num_edges() + ml.geom.boxes.size() + ml.geom.segs.size() +
+      ml.geom.vias.size());
+  for (const obs::TraceEvent& ev : trace.events()) {
+    if (std::string_view(ev.name).substr(0, 3) != "io.") continue;
+    ASSERT_EQ(ev.arg_count, 2u) << ev.name;
+    EXPECT_STREQ(ev.args[0].key, "bytes");
+    EXPECT_EQ(ev.args[0].value, std::to_string(text.str().size())) << ev.name;
+    EXPECT_STREQ(ev.args[1].key, "records");
+    EXPECT_EQ(ev.args[1].value, records) << ev.name;
+  }
+  std::remove(path.c_str());
 
   // The registry's gauges are exactly the checker-verified metric values.
   EXPECT_EQ(reg.gauge("layout.area"), double(m.area));

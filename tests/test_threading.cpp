@@ -374,7 +374,7 @@ TEST(ThreadingPrimitives, MutexCondVarHandshake) {
   int stage = 0;  // guarded by mu
   std::thread consumer([&] {
     MutexLock lock(&mu);
-    while (stage < kThreads) cv.wait(mu);
+    while (stage < static_cast<int>(kThreads)) cv.wait(mu);
     stage = -1;
   });
   for (unsigned t = 0; t < kThreads; ++t) {
