@@ -3,7 +3,7 @@
 // doctor: load a saved layout, collect every violation with exact
 // coordinates, and optionally rip-up/re-route the implicated edges. And the
 // profiler: --trace/--metrics record every pipeline phase (topology,
-// placement, interval, routing, fold, check, lint, repair) as Chrome
+// placement, interval, realize, fold, check, lint, repair) as Chrome
 // trace-event JSON and a metrics registry dump, without touching stdout.
 // And the sweeper: `sweep` expands family patterns like hypercube(n=6..10)
 // across an -L range and runs every job on the parallel batch engine, with

@@ -49,7 +49,7 @@ class CancelledError : public std::runtime_error {
       : std::runtime_error(std::string(reason) + " in phase " + phase),
         phase_(phase),
         reason_(reason) {}
-  /// Phase checkpoint that observed the cancellation ("routing", "check", ...).
+  /// Phase checkpoint that observed the cancellation ("realize", "check", ...).
   [[nodiscard]] const char* phase() const { return phase_; }
   /// Why the token tripped ("deadline exceeded", "cancelled", ...).
   [[nodiscard]] const char* reason() const { return reason_; }

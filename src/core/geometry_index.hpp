@@ -1,38 +1,28 @@
-// Record-level spatial index over layout geometry (DESIGN.md §7.14).
+// Record-level lookup structures (DESIGN.md §7.14).
 //
-// Lint and the repair router ask point questions of a layout — "is grid
-// point (x, y, z) claimed by a wire?", "which node box holds (x, y)?" —
-// many times per record. Answering them by expanding records into grid
-// points costs memory and set-up time proportional to wire length and box
-// area; scanning every box per query costs records × boxes. This index
-// answers both from the records themselves:
-//   * horizontal runs per (layer, row) and vertical runs per (layer,
-//     column), and via z-columns per (x, y), each line a sorted interval
-//     list with a prefix-max reach, so overlapping intervals (faulty input)
-//     still answer exactly;
-//   * node boxes cut into bands at every box's top and bottom edge, each
-//     band a sorted x-interval list of the boxes crossing it.
-// Lines are found through a flat hash directory, so a point query costs
-// O(1) + O(log k) for k intervals on the line; a box query O(log B) plus
-// the boxes that overlap at the point. Building is O(r log r) over the
-// records; claiming a run or column later (a routed path) costs O(log k)
-// plus the length of the touched line.
+// Lint asks "which node box holds (x, y)?" many times per record, and the
+// repair router finds its tiles by coordinate. Neither may scan every box
+// per query (records x boxes) or expand records into grid points (memory
+// proportional to area). Here:
+//   * `FlatMap` is an open-addressing hash map from 64-bit keys to 32-bit
+//     values: the router's tile directory;
+//   * `BoxIndex` cuts node boxes into bands at every box's top and bottom
+//     edge, each band a sorted x-interval list of the boxes crossing it, so
+//     a box query costs O(log B) plus the boxes that overlap at the point.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "core/geometry.hpp"
-#include "core/multilayer.hpp"
 
 namespace mlvl {
 
 /// Open-addressing hash map from 64-bit keys to 32-bit values (linear
-/// probing, at most half full): the directory that finds a grid line.
+/// probing, at most half full).
 class FlatMap {
  public:
   static constexpr std::uint32_t kEmpty = UINT32_MAX;  ///< not a value
@@ -45,13 +35,6 @@ class FlatMap {
     shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(cap));
   }
 
-  /// The value stored under `key`, or kEmpty.
-  [[nodiscard]] std::uint32_t find(std::uint64_t key) const {
-    for (std::size_t i = slot_of(key);; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.value == kEmpty || s.key == key) return s.value;
-    }
-  }
   /// The value under `key`, storing `value` there first if absent.
   std::uint32_t try_emplace(std::uint64_t key, std::uint32_t value) {
     if (2 * (size_ + 1) > slots_.size()) grow();
@@ -88,13 +71,6 @@ class FlatMap {
   std::size_t mask_ = 0;
   std::uint32_t shift_ = 64;
   std::size_t size_ = 0;
-};
-
-/// Closed interval on a grid line with the prefix-max reach: the largest
-/// `hi` of this and every earlier interval of the line (sorted by `lo`).
-struct LineInterval {
-  std::uint32_t lo = 0, hi = 0;
-  std::uint32_t reach = 0;
 };
 
 /// Node boxes answering "which box contains (x, y)". Boxes that contain no
@@ -151,53 +127,6 @@ class BoxIndex {
   std::vector<Entry> entries_;          ///< per band, sorted by lo
   std::vector<std::uint16_t> layers_;   ///< per box index
   mutable std::uint64_t probes_ = 0;
-};
-
-/// Wire occupancy plus the node boxes of one layout. Occupancy follows the
-/// via rule: a blocking via claims its whole z-column, a transparent one only
-/// its two ends. Segments that are neither a horizontal nor a vertical run
-/// (reversed or diagonal) are not indexed; the checker's frame scan reports
-/// them.
-class GeometryIndex {
- public:
-  GeometryIndex(const LayoutGeometry& geom, ViaRule rule);
-
-  /// True iff a run or via column claims grid point (x, y, layer).
-  [[nodiscard]] bool occupied(std::uint32_t x, std::uint32_t y,
-                              std::uint32_t layer) const;
-  [[nodiscard]] const BoxIndex& boxes() const { return boxes_; }
-
-  /// Claim the points of a run (a routed path's straight piece).
-  void add_seg(const WireSeg& s);
-  /// Claim the whole z-column [z1, z2] at (x, y), whatever the via rule.
-  void add_column(std::uint32_t x, std::uint32_t y, std::uint32_t z1,
-                  std::uint32_t z2);
-
-  /// Intervals and box entries built or claimed so far.
-  [[nodiscard]] std::uint64_t built() const {
-    return built_.size() + inserted_ + boxes_.built();
-  }
-
- private:
-  static constexpr std::uint32_t kNoAdded = UINT32_MAX;
-  /// A grid line: its built intervals, built_[begin, end), and the intervals
-  /// claimed since, added_[added] (each part sorted by lo, prefix-maxed).
-  struct Line {
-    std::uint32_t begin = 0, end = 0;
-    std::uint32_t added = kNoAdded;
-  };
-  [[nodiscard]] bool stab(const FlatMap& dir, std::uint64_t key,
-                          std::uint32_t v) const;
-  void insert(FlatMap& dir, std::uint64_t key, std::uint32_t lo,
-              std::uint32_t hi);
-
-  std::vector<LineInterval> built_;
-  std::vector<std::vector<LineInterval>> added_;
-  std::vector<Line> lines_;
-  FlatMap runs_;     ///< (direction, layer, row or column) -> line index
-  FlatMap columns_;  ///< (x, y) -> line index of its z-intervals
-  BoxIndex boxes_;
-  std::uint64_t inserted_ = 0;
 };
 
 }  // namespace mlvl

@@ -24,7 +24,7 @@ struct TerminalRef {
 
 MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
   if (opt.L < 2) throw std::invalid_argument("realize: L >= 2 required");
-  obs::Span span("routing");
+  obs::Span span("realize");
   const Graph& g = o.graph;
   const Placement& pl = o.place;
   const std::uint32_t R = pl.rows, C = pl.cols;
@@ -263,7 +263,7 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
   std::size_t extra_idx = 0;
   bool odd_group_used = false;
   for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    poll_cancellation("routing");
+    poll_cancellation("realize");
     const Edge& ed = g.edge(e);
     switch (o.kind[e]) {
       case EdgeKind::kRow: {

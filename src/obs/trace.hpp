@@ -1,7 +1,7 @@
 // Phase tracing for the layout pipeline.
 //
 // A `TraceSession` collects scoped spans — one per pipeline phase (placement,
-// interval, routing, fold, check, lint, repair, ...) — with monotonic-clock
+// interval, realize, fold, check, lint, repair, ...) — with monotonic-clock
 // timestamps and writes them as Chrome trace-event JSON ("traceEvents" of
 // "ph":"X" complete events), loadable directly in Perfetto or
 // chrome://tracing.

@@ -1,9 +1,10 @@
 #include "robustness/repair.hpp"
 
 #include <algorithm>
-#include <bit>
+#include <memory>
 #include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "core/geometry_index.hpp"
@@ -34,135 +35,128 @@ bool is_frame_code(Code c) {
   }
 }
 
-/// Cells one route has seen: an open-addressing table (linear probing, at
-/// most half full) of one word per slot holding the packed cell key (56
-/// bits, core/gridkey.hpp), a 3-bit state and a 5-bit generation.
-/// clear() bumps the generation, so a table reused across routes re-zeroes
-/// its storage only once every 31 routes. Memory follows the cells a search
-/// touches, never the grid.
-class CellTable {
- public:
-  explicit CellTable(std::size_t expected) {
-    words_.resize(std::bit_ceil(2 * expected));
-    shift_ = 64 - static_cast<std::uint32_t>(std::countr_zero(words_.size()));
-  }
-
-  /// Insert `key` with `state` unless present; true when inserted.
-  bool insert(std::uint64_t key, std::uint8_t state) {
-    if (2 * (size_ + 1) > words_.size()) grow();
-    for (std::size_t i = slot_of(key);; i = (i + 1) & (words_.size() - 1)) {
-      const std::uint64_t w = words_[i];
-      if ((w >> kGenShift) != gen_) {
-        words_[i] = key | std::uint64_t{state} << kStateShift |
-                    std::uint64_t{gen_} << kGenShift;
-        ++size_;
-        return true;
-      }
-      if ((w & kKeyMask) == key) return false;
-    }
-  }
-  /// State of a present `key`.
-  [[nodiscard]] std::uint8_t state(std::uint64_t key) const {
-    std::size_t i = slot_of(key);
-    while ((words_[i] & kKeyMask) != key) i = (i + 1) & (words_.size() - 1);
-    return static_cast<std::uint8_t>(words_[i] >> kStateShift & 7);
-  }
-  void clear() {
-    size_ = 0;
-    if (++gen_ < 32) return;
-    std::fill(words_.begin(), words_.end(), 0);  // generation 0: empty
-    gen_ = 1;
-  }
-
- private:
-  static constexpr std::uint32_t kStateShift = 56, kGenShift = 59;
-  static constexpr std::uint64_t kKeyMask = (std::uint64_t{1} << 56) - 1;
-  static_assert(2 * grid::kCoordBits + 16 <= kStateShift,
-                "a packed cell key (x, y, 16-bit layer) fits below the state");
-
-  [[nodiscard]] std::size_t slot_of(std::uint64_t key) const {
-    return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift_);
-  }
-  void grow() {
-    std::vector<std::uint64_t> old(2 * words_.size());
-    old.swap(words_);
-    --shift_;
-    const std::size_t mask = words_.size() - 1;
-    for (const std::uint64_t w : old) {
-      if ((w >> kGenShift) != gen_) continue;
-      std::size_t i = slot_of(w & kKeyMask);
-      while ((words_[i] >> kGenShift) == gen_) i = (i + 1) & mask;
-      words_[i] = w;
-    }
-  }
-
-  std::vector<std::uint64_t> words_;
-  std::uint32_t shift_ = 64;
-  std::uint32_t gen_ = 1;
-  std::size_t size_ = 0;
-};
-
 /// Maze router over the free cells of the grid. Occupancy reflects the via
 /// rule: blocking vias exclude their whole column, transparent vias only
-/// their endpoints (a wire may thread between them). Free-cell and
-/// foreign-box questions go to a record-level GeometryIndex; routed paths
-/// are claimed in it, so later routes see them.
+/// their endpoints (a wire may thread between them).
+///
+/// The grid is cut into tiles of 64 x 64 cells over all layers. Each record
+/// is bucketed under the tiles it crosses once per pass; a tile gets its
+/// planes the first time a search touches it, filled from its bucket:
+///   * wire plane: one word per (layer, row), a bit per occupied cell;
+///   * closed plane: wire | foreign box, repainted for each route, plus the
+///     cells that route has seen;
+///   * state bytes: the move that entered each cell the route has seen.
+/// So a neighbour test is one bit test, and entering a cell one bit set and
+/// one byte store. Routed paths are claimed in the wire planes, so later
+/// routes see them. Memory follows the tiles the searches touch, never the
+/// grid.
 class Router {
  public:
-  Router(const Graph& g, const LayoutGeometry& geom, const RepairOptions& opt)
-      : g_(g), geom_(geom), opt_(opt), index_(geom, opt.rule),
+  Router(const Graph& g, LayoutGeometry& geom, const RepairOptions& opt)
+      : g_(g), geom_(geom), opt_(opt), rows_(kTile * geom.num_layers),
         box_of_(g.num_nodes(), nullptr) {
     for (const NodeBox& b : geom.boxes)
       if (b.node < g.num_nodes() && !box_of_[b.node]) box_of_[b.node] = &b;
+
+    // Bucket each record under every tile it crosses, boxes first and each
+    // kind in record order: a counting sort over the tiles.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> refs;  // tile, ref
+    auto add = [&](std::uint32_t x1, std::uint32_t y1, std::uint32_t x2,
+                   std::uint32_t y2, std::uint32_t ref) {
+      for (std::uint32_t ty = y1 >> kTileBits; ty <= y2 >> kTileBits; ++ty)
+        for (std::uint32_t tx = x1 >> kTileBits; tx <= x2 >> kTileBits; ++tx) {
+          const std::uint32_t t = tile_id(tx, ty);
+          ++tiles_[t].end;
+          if (ref >= kBox) ++tiles_[t].boxes;
+          refs.emplace_back(t, ref);
+        }
+    };
+    // Routing runs on frame-valid layouts only, where every box lies inside
+    // the grid on a real layer; anything else holds no cell a search visits.
+    for (std::uint32_t i = 0; i < geom.boxes.size(); ++i) {
+      const NodeBox& b = geom.boxes[i];
+      if (b.w > 0 && b.h > 0 && std::uint64_t{b.x} + b.w <= geom.width &&
+          std::uint64_t{b.y} + b.h <= geom.height && b.layer >= 1 &&
+          b.layer <= geom.num_layers)
+        add(b.x, b.y, b.x + b.w - 1, b.y + b.h - 1, kBox | i);
+    }
+    for (std::uint32_t i = 0; i < geom.segs.size(); ++i) {
+      const WireSeg& s = geom.segs[i];
+      add(s.x1, s.y1, s.x2, s.y2, kSeg | i);
+    }
+    for (std::uint32_t i = 0; i < geom.vias.size(); ++i)
+      add(geom.vias[i].x, geom.vias[i].y, geom.vias[i].x, geom.vias[i].y,
+          kVia | i);
+    std::uint32_t at = 0;
+    for (Tile& t : tiles_) {
+      const std::uint32_t n = t.end;
+      t.begin = t.end = at;  // end: fill cursor
+      t.boxes += at;
+      at += n;
+    }
+    refs_.resize(at);
+    for (const auto& [t, ref] : refs) refs_[tiles_[t].end++] = ref;
   }
 
   /// Find a free path between the terminal boxes of `e` and append the
-  /// resulting segments and vias to `out`. Returns false when no path
-  /// exists within the search budget.
-  bool route(EdgeId e, LayoutGeometry& out) {
+  /// resulting segments and vias to the geometry. Returns false when no
+  /// path exists within the search budget.
+  bool route(EdgeId e) {
     const Edge& ed = g_.edge(e);
     const NodeBox* bu = box_of_[ed.u];
     const NodeBox* bv = box_of_[ed.v];
     if (!bu || !bv) return false;
+    ++route_;
+    u_ = ed.u;
+    v_ = ed.v;
 
-    // parent_ holds every cell seen: entered ones with the move that
-    // reached them (a seed: kSeed), and those found blocked, so neither is
-    // tested again. Only entered cells count against the search budget.
-    parent_.clear();
+    // The closed plane holds every cell seen: entered ones, with the move
+    // that reached them in the state bytes (a seed: kSeed), and blocked
+    // ones, so neither is tested again. Only entered cells count against
+    // the search budget. Seeds test only the wire plane.
     queue_.clear();
     std::uint64_t entered = 0;
     for (std::uint32_t yy = bu->y; yy < bu->y + bu->h; ++yy)
       for (std::uint32_t xx = bu->x; xx < bu->x + bu->w; ++xx) {
-        if (index_.occupied(xx, yy, bu->layer)) continue;
-        parent_.insert(key3(xx, yy, bu->layer), kSeed);
+        const View t = ready(xx, yy);
+        const std::uint32_t r = row(bu->layer, yy);
+        const std::uint64_t bit = std::uint64_t{1} << (xx & kTileMask);
+        if (t.wire[r] & bit) continue;
+        t.closed[r] |= bit;
+        t.state[r * kTile + (xx & kTileMask)] = kSeed;
         ++entered;
         queue_.push_back(key3(xx, yy, bu->layer));
       }
     auto in_box = [](const NodeBox& b, std::uint64_t k) {
       return key_z(k) == b.layer && b.contains(key_x(k), key_y(k));
     };
-    // Foreign box: entering it would steal another node's terminal.
-    auto blocked = [&](std::uint64_t k) {
-      const std::uint32_t x = key_x(k), y = key_y(k), z = key_z(k);
-      if (index_.occupied(x, y, z)) return true;
-      const std::uint32_t box = index_.boxes().at(x, y, z);
-      if (box == BoxIndex::kNone) return false;
-      const NodeId owner = geom_.boxes[box].node;
-      return owner != ed.u && owner != ed.v;
-    };
 
     std::uint64_t goal = 0;
     bool found = false;
+    View cur{};
+    std::uint32_t cx = UINT32_MAX, cy = UINT32_MAX;  // a cell of `cur`
     for (std::size_t head = 0; head < queue_.size() && !found; ++head) {
       if (entered > opt_.max_search_cells) break;
       const std::uint64_t k = queue_[head];
       const std::uint32_t x = key_x(k), y = key_y(k), z = key_z(k);
+      if (((x ^ cx) | (y ^ cy)) >> kTileBits) {
+        cur = ready(x, y);
+        cx = x;
+        cy = y;
+      }
       const bool open[6] = {x > 0, x + 1 < geom_.width, y > 0,
                             y + 1 < geom_.height, z > 1, z < geom_.num_layers};
       for (std::uint8_t m = 0; m < 6; ++m) {
         if (!open[m]) continue;
         const std::uint64_t nk = k + kStep[m];
-        if (!parent_.insert(nk, m) || blocked(nk)) continue;
+        const std::uint32_t nx = key_x(nk), ny = key_y(nk);
+        const View t =
+            ((nx ^ x) | (ny ^ y)) >> kTileBits ? ready(nx, ny) : cur;
+        const std::uint32_t r = row(key_z(nk), ny);
+        const std::uint64_t bit = std::uint64_t{1} << (nx & kTileMask);
+        if (t.closed[r] & bit) continue;
+        t.closed[r] |= bit;
+        t.state[r * kTile + (nx & kTileMask)] = m;
         ++entered;
         queue_.push_back(nk);
         if (in_box(*bv, nk)) {
@@ -175,34 +169,39 @@ class Router {
     cells_visited_ += entered;
     if (!found) return false;
 
-    // Reconstruct source -> goal, then fold the walk into maximal straight
-    // runs: same-layer runs become segments, z-runs become vias.
+    // Reconstruct source -> goal, claiming each cell in its wire plane so
+    // later routes see the path (its vias thus block their whole column,
+    // whatever the rule). Then fold the walk into maximal straight runs:
+    // same-layer runs become segments, z-runs become vias.
     std::vector<std::uint64_t> path;
     for (std::uint64_t k = goal;;) {
       path.push_back(k);
-      const std::uint8_t m = parent_.state(k);
+      const std::uint32_t x = key_x(k), y = key_y(k);
+      const View t = ready(x, y);
+      const std::uint32_t r = row(key_z(k), y);
+      t.wire[r] |= std::uint64_t{1} << (x & kTileMask);
+      const std::uint8_t m = t.state[r * kTile + (x & kTileMask)];
       if (m == kSeed) break;
       k -= kStep[m];
     }
     std::reverse(path.begin(), path.end());
-    const std::size_t segs0 = out.segs.size(), vias0 = out.vias.size();
-    emit(path, e, out);
-    // The path's runs and z-runs cover exactly its cells; its vias block
-    // their whole column whatever the rule.
-    for (std::size_t i = segs0; i < out.segs.size(); ++i)
-      index_.add_seg(out.segs[i]);
-    for (std::size_t i = vias0; i < out.vias.size(); ++i) {
-      const Via& v = out.vias[i];
-      index_.add_column(v.x, v.y, v.z1, v.z2);
-    }
+    emit(path, e);
     return true;
   }
 
-  [[nodiscard]] const GeometryIndex& index() const { return index_; }
   /// Free cells entered by every search so far.
   [[nodiscard]] std::uint64_t cells_visited() const { return cells_visited_; }
+  /// Bucket entries.
+  [[nodiscard]] std::uint64_t tile_refs() const { return refs_.size(); }
+  /// Tiles whose planes were filled.
+  [[nodiscard]] std::uint64_t tiles_filled() const { return filled_; }
 
  private:
+  static constexpr std::uint32_t kTileBits = 6, kTile = 1u << kTileBits,
+                                 kTileMask = kTile - 1;
+  /// A bucket entry: record kind in the top two bits, index below.
+  static constexpr std::uint32_t kSeg = 0, kVia = 1u << 30, kBox = 2u << 30,
+                                 kIndex = kVia - 1;
   /// Key offsets of the six moves, in search order: -x, +x, -y, +y, -z, +z
   /// (unsigned wrap-around subtracts).
   static constexpr std::uint64_t kStep[6] = {
@@ -212,8 +211,102 @@ class Router {
       std::uint64_t{1} << 2 * grid::kCoordBits};
   static constexpr std::uint8_t kSeed = 6;
 
-  void emit(const std::vector<std::uint64_t>& path, EdgeId e,
-            LayoutGeometry& out) {
+  struct Tile {
+    /// refs_[begin, boxes) are its boxes, refs_[boxes, end) its wires.
+    std::uint32_t begin = 0, boxes = 0, end = 0;
+    std::uint32_t stamp = 0;  ///< route the closed plane is painted for
+    std::unique_ptr<std::uint64_t[]> bits;  ///< wire plane, closed plane
+    std::unique_ptr<std::uint8_t[]> state;  ///< one byte per cell
+  };
+  /// A ready tile's planes (stable while tiles_ grows).
+  struct View {
+    std::uint64_t* wire = nullptr;
+    std::uint64_t* closed = nullptr;
+    std::uint8_t* state = nullptr;
+  };
+
+  [[nodiscard]] static std::uint32_t row(std::uint32_t z, std::uint32_t y) {
+    return (z - 1) * kTile + (y & kTileMask);
+  }
+  /// Bits lo..hi of a word.
+  [[nodiscard]] static std::uint64_t span(std::uint32_t lo, std::uint32_t hi) {
+    return (~std::uint64_t{0} << lo) & (~std::uint64_t{0} >> (kTileMask - hi));
+  }
+
+  /// Index of tile (tx, ty), made empty if new.
+  std::uint32_t tile_id(std::uint32_t tx, std::uint32_t ty) {
+    const auto next = static_cast<std::uint32_t>(tiles_.size());
+    const std::uint32_t t =
+        dir_.try_emplace(std::uint64_t{tx} << 32 | ty, next);
+    if (t == next) tiles_.emplace_back();
+    return t;
+  }
+  /// The tile holding (x, y), filled, its closed plane painted for this
+  /// route.
+  View ready(std::uint32_t x, std::uint32_t y) {
+    Tile& t = tiles_[tile_id(x >> kTileBits, y >> kTileBits)];
+    const std::uint32_t x0 = x & ~kTileMask, y0 = y & ~kTileMask;
+    if (!t.bits) {
+      t.bits = std::make_unique<std::uint64_t[]>(2 * std::size_t{rows_});
+      t.state = std::make_unique_for_overwrite<std::uint8_t[]>(
+          std::size_t{rows_} * kTile);
+      ++filled_;
+      for (std::uint32_t i = t.boxes; i < t.end; ++i)
+        paint_wire(t.bits.get(), x0, y0, refs_[i]);
+    }
+    const View v{t.bits.get(), t.bits.get() + rows_, t.state.get()};
+    if (t.stamp == route_) return v;
+    t.stamp = route_;
+    // Foreign boxes from the highest index down, so the lowest-index box
+    // holding a cell decides whether it is foreign.
+    std::fill_n(v.closed, rows_, 0);
+    for (std::uint32_t i = t.boxes; i-- > t.begin;) {
+      const NodeBox& b = geom_.boxes[refs_[i] & kIndex];
+      const std::uint64_t cols = span(
+          std::max(b.x, x0) - x0, std::min(b.x + b.w - 1, x0 + kTileMask) - x0);
+      const bool foreign = b.node != u_ && b.node != v_;
+      for (std::uint32_t yy = std::max(b.y, y0),
+                         y1 = std::min(b.y + b.h - 1, y0 + kTileMask);
+           yy <= y1; ++yy) {
+        std::uint64_t& w = v.closed[row(b.layer, yy)];
+        w = foreign ? w | cols : w & ~cols;
+      }
+    }
+    for (std::uint32_t r = 0; r < rows_; ++r) v.closed[r] |= v.wire[r];
+    return v;
+  }
+
+  /// Set the cells a wire record claims in the wire plane of the tile at
+  /// (x0, y0).
+  void paint_wire(std::uint64_t* wire, std::uint32_t x0, std::uint32_t y0,
+                  std::uint32_t ref) const {
+    const std::uint32_t i = ref & kIndex;
+    if (ref < kVia) {
+      const WireSeg& s = geom_.segs[i];
+      if (s.y1 == s.y2) {
+        wire[row(s.layer, s.y1)] |= span(std::max(s.x1, x0) - x0,
+                                        std::min(s.x2, x0 + kTileMask) - x0);
+        return;
+      }
+      const std::uint64_t bit = std::uint64_t{1} << (s.x1 - x0);
+      for (std::uint32_t yy = std::max(s.y1, y0),
+                         y1 = std::min(s.y2, y0 + kTileMask);
+           yy <= y1; ++yy)
+        wire[row(s.layer, yy)] |= bit;
+      return;
+    }
+    const Via& v = geom_.vias[i];
+    const std::uint64_t bit = std::uint64_t{1} << (v.x - x0);
+    if (opt_.rule == ViaRule::kBlocking) {
+      for (std::uint32_t z = v.z1; z <= v.z2; ++z) wire[row(z, v.y)] |= bit;
+    } else {
+      wire[row(v.z1, v.y)] |= bit;
+      wire[row(v.z2, v.y)] |= bit;
+    }
+  }
+
+  void emit(const std::vector<std::uint64_t>& path, EdgeId e) {
+    LayoutGeometry& out = geom_;
     if (path.size() == 1) {  // degenerate stub (cannot happen between
       const std::uint64_t k = path[0];  // disjoint boxes, kept for safety)
       out.segs.push_back({key_x(k), key_y(k), key_x(k), key_y(k),
@@ -255,12 +348,17 @@ class Router {
   }
 
   const Graph& g_;
-  const LayoutGeometry& geom_;
+  LayoutGeometry& geom_;
   const RepairOptions& opt_;
-  GeometryIndex index_;
+  const std::uint32_t rows_;  ///< plane words per tile: 64 x layers
   std::vector<const NodeBox*> box_of_;
-  CellTable parent_{1u << 12};        ///< reused by every route
-  std::vector<std::uint64_t> queue_;  ///< BFS queue, reused likewise
+  FlatMap dir_;  ///< (tx, ty) -> tiles_ index
+  std::vector<Tile> tiles_;
+  std::vector<std::uint32_t> refs_;   ///< the buckets, tile by tile
+  std::vector<std::uint64_t> queue_;  ///< BFS queue, reused by every route
+  std::uint32_t route_ = 0;           ///< routes started
+  NodeId u_ = 0, v_ = 0;              ///< the current route's terminals
+  std::uint64_t filled_ = 0;
   std::uint64_t cells_visited_ = 0;
 };
 
@@ -331,12 +429,13 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
       return rep;
     }
 
-    for (EdgeId e : rip) {
-      std::erase_if(geom.segs, [&](const WireSeg& s) { return s.edge == e; });
-      std::erase_if(geom.vias, [&](const Via& v) { return v.edge == e; });
-      rep.ripped.push_back(e);
-      obs::counter_add("repair.ripups");
-    }
+    // One scan per record kind (sanitize left only owned records).
+    std::vector<bool> ripping(g.num_edges());
+    for (EdgeId e : rip) ripping[e] = true;
+    std::erase_if(geom.segs, [&](const WireSeg& s) { return ripping[s.edge]; });
+    std::erase_if(geom.vias, [&](const Via& v) { return ripping[v.edge]; });
+    rep.ripped.insert(rep.ripped.end(), rip.begin(), rip.end());
+    obs::counter_add("repair.ripups", rip.size());
 
     std::optional<Router> router;
     {
@@ -348,7 +447,7 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
     {
       obs::Span route_span("repair.route");
       for (EdgeId e : rip) {
-        if (router->route(e, geom)) {
+        if (router->route(e)) {
           rep.rerouted.push_back(e);
           obs::counter_add("repair.rerouted");
         } else {
@@ -358,9 +457,10 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
       }
       route_span.arg("routes", rip.size());
       route_span.arg("cells_visited", router->cells_visited());
+      route_span.arg("tiles", router->tiles_filled());
     }
     obs::counter_add("repair.cells_visited", router->cells_visited());
-    obs::counter_add("repair.index.built", router->index().built());
+    obs::counter_add("repair.tile_refs", router->tile_refs());
   }
 
   DiagnosticSink final_sink(opt.max_diagnostics);

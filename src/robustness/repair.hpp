@@ -13,8 +13,8 @@
 //
 // Each pass re-verifies the whole layout with the record-level `Checker`
 // (DESIGN.md §7.13), and the router answers its free-cell and box questions
-// from a record-level `GeometryIndex` (§7.14): neither costs in proportion
-// to the area.
+// from bit planes of the 64 x 64 tiles its searches touch, filled from the
+// records crossing them (§7.3): neither costs in proportion to the area.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Point-hashing reference implementations, used only by tests.
 //
-// The production repair router and the box-dependent lint rules answer
-// their point questions from the record-level GeometryIndex. These copies
+// The production repair router answers its point questions from tiled bit
+// planes, and the box-dependent lint rules from a `BoxIndex`. These copies
 // keep the obvious route: the router hashes every occupied grid point and
 // every box cell before it searches, and the two lint rules scan every box
 // for every query. `test_repair_oracle` proves the production code

@@ -266,6 +266,8 @@ TEST(Obs, LintRuleAndRepairSpansCarryCounters) {
   EXPECT_LT(arg(*index, "records"), records);  // edge 3 was unrouted
   EXPECT_EQ(arg(*route, "routes"), 1u);
   EXPECT_GT(arg(*route, "cells_visited"), 0u);
+  // hypercube(4) fits in one 64 x 64 tile.
+  EXPECT_EQ(arg(*route, "tiles"), 1u);
 }
 
 TEST(Trace, SpanArgsAreRecordedBoundedAndTruncated) {
@@ -456,7 +458,7 @@ TEST(Obs, PipelineEmitsEveryPhaseSpanAndExactGauges) {
   obs::TraceSession::uninstall();
   obs::MetricsRegistry::uninstall();
 
-  for (const char* phase : {"placement", "interval", "routing", "check",
+  for (const char* phase : {"placement", "interval", "realize", "check",
                             "fold", "lint", "io.save", "io.parse"})
     EXPECT_TRUE(trace.has_span(phase)) << "missing span: " << phase;
 
@@ -497,8 +499,8 @@ TEST(Obs, PipelineEmitsEveryPhaseSpanAndExactGauges) {
 }
 
 TEST(Obs, CancellationUnwindsWithBalancedSpans) {
-  // A pre-tripped token makes the first routing checkpoint throw
-  // CancelledError from *inside* the live "routing" span; the RAII spans
+  // A pre-tripped token makes the first realize checkpoint throw
+  // CancelledError from *inside* the live "realize" span; the RAII spans
   // must still record (balanced trace), and the sink totals must reflect
   // only what was actually reported — cancellation is cooperative, never
   // a torn trace or a phantom diagnostic.
@@ -518,14 +520,14 @@ TEST(Obs, CancellationUnwindsWithBalancedSpans) {
     ADD_FAILURE() << "realize completed despite a tripped token";
   } catch (const CancelledError& ex) {
     unwound = true;
-    EXPECT_STREQ(ex.phase(), "routing");
+    EXPECT_STREQ(ex.phase(), "realize");
     EXPECT_STREQ(ex.reason(), "cancelled by test");
   }
   obs::TraceSession::uninstall();
   obs::MetricsRegistry::uninstall();
   ASSERT_TRUE(unwound);
   // Both the span the exception crossed and the enclosing one completed.
-  EXPECT_TRUE(session.has_span("routing"));
+  EXPECT_TRUE(session.has_span("realize"));
   EXPECT_TRUE(session.has_span("engine.job"));
   ASSERT_GE(session.size(), 2u);
   // The enclosing span closed last and covers the one it unwound through.
@@ -537,7 +539,7 @@ TEST(Obs, CancellationUnwindsWithBalancedSpans) {
   EXPECT_EQ(sink.total_errors(), 0u);
   EXPECT_EQ(sink.total_warnings(), 0u);
   EXPECT_FALSE(cancel_enabled());
-  poll_cancellation("routing");  // must be a no-op, not a throw
+  poll_cancellation("realize");  // must be a no-op, not a throw
 }
 
 TEST(Obs, DisabledPipelineRecordsNothing) {

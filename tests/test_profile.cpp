@@ -158,7 +158,7 @@ TEST(Profile, RoundTripThroughWrittenChromeTrace) {
     obs::Span job("engine.job");
     job.arg("spec", "hypercube(n=4)").arg("L", std::uint64_t{4})
         .arg("verdict", "ok");
-    obs::Span inner("routing");
+    obs::Span inner("realize");
   }
   std::thread worker([] { obs::Span span("check"); });
   worker.join();
@@ -222,7 +222,7 @@ TEST(Profile, PipelineSelfTimesSumToAtMostWall) {
   obs::ProfileReport rep = obs::profile_session(session);
   EXPECT_TRUE(rep.has_phase("placement"));
   EXPECT_TRUE(rep.has_phase("interval"));
-  EXPECT_TRUE(rep.has_phase("routing"));
+  EXPECT_TRUE(rep.has_phase("realize"));
   EXPECT_TRUE(rep.has_phase("check"));
   ASSERT_GT(rep.wall_us, 0u);
   // The acceptance invariant: per thread, exclusive times partition busy

@@ -198,9 +198,9 @@ TEST(Repair, RepairedLayoutRoundTripsThroughSerialization) {
   EXPECT_TRUE(res.ok) << res.error;
 }
 
-// The router answers its point questions from a record-level index, so
-// repairing one missing segment of a 150k-record, 14M-point layout builds
-// that index in work proportional to the records, not the grid points.
+// The router buckets records under the 64 x 64 tiles they cross, so
+// repairing one missing segment of a 150k-record, 14M-point layout costs
+// bucket entries in proportion to the records, not the grid points.
 TEST(Repair, OneMissingSegmentOnHypercube12BuildsIndexInRecordWork) {
   const Orthogonal2Layer o = layout::layout_hypercube(12);
   const MultilayerLayout ml = realize(o, {.L = 2});
@@ -218,9 +218,10 @@ TEST(Repair, OneMissingSegmentOnHypercube12BuildsIndexInRecordWork) {
 
   EXPECT_TRUE(rep.ok) << rep.remaining.size() << " remaining";
   EXPECT_EQ(rep.rerouted.size(), 1u);
-  // One router, built once from the records, plus the rerouted path.
-  EXPECT_LE(reg.counter("repair.index.built"), records + 64);
-  EXPECT_GT(reg.counter("repair.index.built"), records / 2);
+  // One router, its buckets built once from the records, plus the
+  // rerouted path.
+  EXPECT_LE(reg.counter("repair.tile_refs"), 3 * records);
+  EXPECT_GT(reg.counter("repair.tile_refs"), records / 2);
 }
 
 }  // namespace

@@ -1,22 +1,23 @@
-// Differential proof of the index-backed repair router and box lookups
+// Differential proof of the tiled-bitmap repair router and the box lookups
 // against the point-hashing references (repair_oracle.hpp): across the fault
 // matrix on four families, three layer counts and both via rules, across
 // random small layouts (same-edge overlapping runs, collisions, stacked
-// boxes) and under a search budget that trips, repaired segments and vias
+// boxes), across layouts that span several 64 x 64 router tiles (the
+// doctor benchmark's layouts, random ones with boxes and runs on tile
+// edges) and under a search budget that trips, repaired segments and vias
 // (in order), every RepairReport field, and the knock-knee and
 // terminal-riser findings must be byte-identical.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <random>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/lint.hpp"
-#include "core/geometry_index.hpp"
 #include "core/multilayer.hpp"
 #include "layout/ccc_layout.hpp"
 #include "layout/ghc_layout.hpp"
@@ -178,6 +179,40 @@ TEST(RepairOracle, FaultMatrixAgrees) {
   EXPECT_GT(t.rerouted, 800);
 }
 
+/// The benchmark's doctor layouts span several 64 x 64 router tiles, so
+/// their searches cross tile edges. kStealTerminal rips every edge through
+/// the stolen box.
+TEST(RepairOracle, MultiTileFaultMatrixAgrees) {
+  Tally t;
+  const Family hypercube{"hypercube(7)", layout::layout_hypercube(7)};
+  const Family kary{"kary(6,3)", layout::layout_kary(6, 3)};
+  const std::pair<const Family*, std::uint32_t> layouts[] = {
+      {&hypercube, 2}, {&hypercube, 8}, {&kary, 2}};
+  for (const auto& [f, L] : layouts) {
+    const MultilayerLayout ml = realize(f->o, {.L = L});
+    EXPECT_GT(std::max(ml.geom.width, ml.geom.height), 64u) << f->name;
+    for (robustness::FaultKind k :
+         {robustness::FaultKind::kUnrouteEdge, robustness::FaultKind::kDropVia,
+          robustness::FaultKind::kShiftSegmentOffTrack,
+          robustness::FaultKind::kStealTerminal})
+      for (std::uint64_t seed : {1, 2}) {
+        LayoutGeometry geom = ml.geom;
+        if (!robustness::inject(k, f->o.graph, geom, seed)) continue;
+        const std::string ctx = f->name + " L=" + std::to_string(L) + " " +
+                                robustness::fault_name(k) + " seed " +
+                                std::to_string(seed);
+        for (ViaRule rule : kRules)
+          same_repair(f->o.graph, geom, {.rule = rule},
+                      ctx + (rule == ViaRule::kBlocking ? " blocking"
+                                                        : " transparent"),
+                      t);
+      }
+  }
+  EXPECT_EQ(t.disagreements, 0);
+  EXPECT_GE(t.cases, 40);
+  EXPECT_GT(t.rerouted, 60);
+}
+
 // ---- Random small layouts ------------------------------------------------
 
 struct Random {
@@ -185,23 +220,51 @@ struct Random {
   LayoutGeometry geom;
 };
 
-/// A random small layout whose frame is usually valid (disjoint in-bounds
-/// boxes, one per node, on layer 1 or stacked on higher layers) and whose
-/// wiring is random walks of runs and vias: collisions, thefts and gaps for
-/// repair to fix, and runs that overlap runs of the same edge (legal, so
-/// they stay in the layout while other edges route around them).
-Random random_layout(std::uint64_t seed) {
+/// Cells next to the router's tile edges (tiles are 64 x 64 cells).
+constexpr std::uint32_t kTileEdges[] = {63, 64, 127, 128};
+constexpr std::uint16_t kTiledLayers[] = {1, 2, 3, 4, 8, 16, 64};
+
+/// A random layout whose frame is usually valid (disjoint in-bounds boxes,
+/// one per node, on layer 1 or stacked on higher layers) and whose wiring
+/// is random walks of runs and vias: collisions, thefts and gaps for repair
+/// to fix, and runs that overlap runs of the same edge (legal, so they stay
+/// in the layout while other edges route around them). A small one fits
+/// in one tile; a `tiled` one is 60-200 cells a side (never a whole number
+/// of tiles) with up to 64 layers, and half its boxes and run ends sit on
+/// a cell next to a tile edge.
+Random random_layout(std::uint64_t seed, bool tiled = false) {
   std::mt19937_64 rng(seed);
   auto pick = [&](std::uint32_t lo, std::uint32_t hi) {  // inclusive
     return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
   };
   auto chance = [&](std::uint32_t pct) { return pick(1, 100) <= pct; };
+  // The first cell of an extent of `len` cells in [0, n); in a tiled
+  // layout, half the time one whose extent holds a tile-edge cell.
+  auto place = [&](std::uint32_t len, std::uint32_t n) {
+    if (tiled && chance(50)) {
+      const std::uint32_t edge = kTileEdges[pick(0, 3)];
+      const std::uint32_t lo = edge + 1 > len ? edge + 1 - len : 0;
+      const std::uint32_t hi = std::min(edge, n - len);
+      if (lo <= hi) return pick(lo, hi);
+    }
+    return pick(0, n - len);
+  };
 
   Random r;
   LayoutGeometry& geom = r.geom;
-  geom.width = pick(4, 14);
-  geom.height = pick(4, 14);
-  geom.num_layers = static_cast<std::uint16_t>(pick(1, 4));
+  if (tiled) {
+    auto side = [&] {
+      const std::uint32_t n = pick(60, 200);
+      return n % 64 == 0 ? n - 1 : n;
+    };
+    geom.width = side();
+    geom.height = side();
+    geom.num_layers = kTiledLayers[pick(0, 6)];
+  } else {
+    geom.width = pick(4, 14);
+    geom.height = pick(4, 14);
+    geom.num_layers = static_cast<std::uint16_t>(pick(1, 4));
+  }
   const std::uint32_t W = geom.width, H = geom.height, L = geom.num_layers;
 
   const std::uint32_t nodes = pick(2, 6);
@@ -216,10 +279,10 @@ Random random_layout(std::uint64_t seed) {
     for (int attempt = 0; attempt < 20; ++attempt) {
       NodeBox b;
       b.node = n;
-      b.w = pick(1, 4);
-      b.h = pick(1, 4);
-      b.x = pick(0, W - b.w);
-      b.y = pick(0, H - b.h);
+      b.w = pick(1, tiled ? 6 : 4);
+      b.h = pick(1, tiled ? 6 : 4);
+      b.x = place(b.w, W);
+      b.y = place(b.h, H);
       b.layer = chance(80) ? std::uint16_t{1}
                            : static_cast<std::uint16_t>(pick(1, L));
       const bool clash = std::any_of(
@@ -235,7 +298,7 @@ Random random_layout(std::uint64_t seed) {
 
   for (EdgeId e = 0; e < r.g.num_edges(); ++e) {
     if (chance(15)) continue;  // unrouted
-    std::uint32_t x = pick(0, W - 1), y = pick(0, H - 1), z = pick(1, L);
+    std::uint32_t x = place(1, W), y = place(1, H), z = pick(1, L);
     for (std::uint32_t i = 0, steps = pick(1, 7); i < steps; ++i) {
       const std::uint32_t kind = L > 1 ? pick(0, 2) : pick(0, 1);
       if (kind == 2) {
@@ -247,7 +310,7 @@ Random random_layout(std::uint64_t seed) {
         continue;
       }
       const bool horizontal = kind == 0;
-      const std::uint32_t n = horizontal ? pick(0, W - 1) : pick(0, H - 1);
+      const std::uint32_t n = horizontal ? place(1, W) : place(1, H);
       const std::uint32_t at = horizontal ? x : y;
       const std::uint32_t lo = std::min(at, n), hi = std::max(at, n);
       auto run = [&](std::uint32_t a, std::uint32_t b) {
@@ -282,6 +345,56 @@ TEST(RepairOracle, RandomLayoutsAgree) {
   EXPECT_EQ(t.disagreements, 0);
   EXPECT_GT(t.rerouted, 3000);
   EXPECT_GT(t.failed, 100);
+}
+
+/// Routes that find no path would search every cell of a 200 x 200 x 64
+/// grid; the budget keeps the reference router's hash tables small.
+TEST(RepairOracle, RandomTiledLayoutsAgree) {
+  Tally t;
+  for (std::uint64_t seed = 0; seed < 80; ++seed) {
+    const Random r = random_layout(seed, /*tiled=*/true);
+    for (ViaRule rule : kRules)
+      same_repair(r.g, r.geom, {.rule = rule, .max_search_cells = 1u << 16},
+                  "tiled seed " + std::to_string(seed), t);
+  }
+  EXPECT_EQ(t.disagreements, 0);
+  EXPECT_GT(t.rerouted, 300);
+}
+
+/// Under the transparent rule a via routed earlier in a pass still blocks
+/// its whole column, in a tile the earlier search already filled: edge 0
+/// climbs from layer 1 to layer 3 at x = 64, the first cell of the second
+/// tile, and edge 1, on layer 2 from x = 63 to x = 65, must go around it.
+TEST(RepairOracle, RoutedViaBlocksItsColumnInAFilledTile) {
+  Graph g(4);
+  g.add_edge(0, 1);
+  g.add_edge(2, 3);
+  LayoutGeometry geom;
+  geom.width = 130;
+  geom.height = 70;
+  geom.num_layers = 3;
+  geom.boxes = {{64, 5, 1, 1, 0, 1},
+                {64, 5, 1, 1, 1, 3},
+                {63, 5, 1, 1, 2, 2},
+                {65, 5, 1, 1, 3, 2}};
+  Tally t;
+  ASSERT_TRUE(same_repair(g, geom, {.rule = ViaRule::kTransparent},
+                          "routed via column", t));
+  LayoutGeometry repaired = geom;
+  const RepairReport rep = robustness::repair_layout(
+      g, repaired, {.rule = ViaRule::kTransparent});
+  EXPECT_TRUE(rep.ok);
+  ASSERT_EQ(repaired.vias.size(), 1u);
+  const Via& via = repaired.vias[0];
+  EXPECT_EQ(via.edge, 0u);
+  EXPECT_EQ(via.x, 64u);
+  EXPECT_EQ(via.y, 5u);
+  EXPECT_EQ(via.z1, 1u);
+  EXPECT_EQ(via.z2, 3u);
+  for (const WireSeg& s : repaired.segs)
+    EXPECT_FALSE(s.layer == 2 && s.y1 <= 5 && 5 <= s.y2 && s.x1 <= 64 &&
+                 64 <= s.x2)
+        << "edge " << s.edge << " threads the routed via at (64, 5, 2)";
 }
 
 /// Random boxes with no frame discipline at all — overlapping, stacked,
@@ -324,63 +437,6 @@ TEST(RepairOracle, RandomBoxesLintAgrees) {
   EXPECT_GT(findings, 1000);
 }
 
-// ---- Index edits ----------------------------------------------------------
-
-/// Random runs and columns, claimed at build time and then one by one,
-/// overlapping freely: every grid point must answer as a point set does.
-TEST(RepairOracle, IndexEditsMatchPointSet) {
-  int mismatches = 0;
-  for (std::uint64_t seed = 0; seed < 300; ++seed) {
-    std::mt19937_64 rng(seed);
-    auto pick = [&](std::uint32_t lo, std::uint32_t hi) {
-      return std::uniform_int_distribution<std::uint32_t>(lo, hi)(rng);
-    };
-    constexpr std::uint32_t kSide = 12, kLayers = 4;
-    std::array<char, kSide * kSide * (kLayers + 1)> want{};
-    auto cell = [&](std::uint32_t x, std::uint32_t y,
-                    std::uint32_t z) -> char& {
-      return want[(z * kSide + y) * kSide + x];
-    };
-    auto random_seg = [&] {
-      const std::uint32_t x = pick(0, kSide - 1), y = pick(0, kSide - 1);
-      const auto z = static_cast<std::uint16_t>(pick(1, kLayers));
-      const std::uint32_t len = pick(0, kSide - 1);
-      return pick(0, 1) ? WireSeg{x, y, std::min(kSide - 1, x + len), y, z, 0}
-                        : WireSeg{x, y, x, std::min(kSide - 1, y + len), z, 0};
-    };
-    auto claim_seg = [&](const WireSeg& s) {
-      for (std::uint32_t y = s.y1; y <= s.y2; ++y)
-        for (std::uint32_t x = s.x1; x <= s.x2; ++x) cell(x, y, s.layer) = 1;
-    };
-    LayoutGeometry geom;
-    geom.width = geom.height = kSide;
-    geom.num_layers = kLayers;
-    for (std::uint32_t i = 0, n = pick(0, 20); i < n; ++i) {
-      geom.segs.push_back(random_seg());
-      claim_seg(geom.segs.back());
-    }
-    GeometryIndex index(geom, ViaRule::kBlocking);
-    for (std::uint32_t i = 0, n = pick(1, 40); i < n; ++i) {
-      if (pick(0, 1)) {
-        const WireSeg s = random_seg();
-        index.add_seg(s);
-        claim_seg(s);
-      } else {
-        const std::uint32_t x = pick(0, kSide - 1), y = pick(0, kSide - 1);
-        const std::uint32_t z1 = pick(1, kLayers), z2 = pick(z1, kLayers);
-        index.add_column(x, y, z1, z2);
-        for (std::uint32_t z = 1; z <= kLayers; ++z)
-          if (z >= z1 && z <= z2) cell(x, y, z) = 1;
-      }
-    }
-    for (std::uint32_t z = 1; z <= kLayers; ++z)
-      for (std::uint32_t y = 0; y < kSide; ++y)
-        for (std::uint32_t x = 0; x < kSide; ++x)
-          if (index.occupied(x, y, z) != (cell(x, y, z) != 0)) ++mismatches;
-  }
-  EXPECT_EQ(mismatches, 0);
-}
-
 // ---- Search budget --------------------------------------------------------
 
 TEST(RepairOracle, SearchBudgetTripsIdentically) {
@@ -406,6 +462,33 @@ TEST(RepairOracle, SearchBudgetTripsIdentically) {
   EXPECT_EQ(t.disagreements, 0);
   EXPECT_GT(t.failed, 20);    // the budget tripped
   EXPECT_GT(t.rerouted, 20);  // and sometimes sufficed
+}
+
+/// The same on layouts whose searches span several tiles before the budget
+/// trips.
+TEST(RepairOracle, SearchBudgetTripsIdenticallyAcrossTiles) {
+  Tally t;
+  const Orthogonal2Layer o = layout::layout_hypercube(7);
+  const MultilayerLayout ml = realize(o, {.L = 2});
+  for (std::uint64_t budget : {64u, 1024u, 4096u, 16384u})
+    for (std::uint64_t seed : kSeeds) {
+      LayoutGeometry geom = ml.geom;
+      ASSERT_TRUE(robustness::inject(robustness::FaultKind::kUnrouteEdge,
+                                     o.graph, geom, seed));
+      same_repair(o.graph, geom,
+                  {.rule = ViaRule::kBlocking, .max_search_cells = budget},
+                  "hypercube(7) budget " + std::to_string(budget) + " seed " +
+                      std::to_string(seed),
+                  t);
+    }
+  for (std::uint64_t seed = 0; seed < 60; ++seed) {
+    const Random r = random_layout(seed, /*tiled=*/true);
+    same_repair(r.g, r.geom, {.max_search_cells = seed * 97 % 6000},
+                "tiled budget seed " + std::to_string(seed), t);
+  }
+  EXPECT_EQ(t.disagreements, 0);
+  EXPECT_GT(t.failed, 10);
+  EXPECT_GT(t.rerouted, 10);
 }
 
 }  // namespace
