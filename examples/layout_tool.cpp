@@ -260,8 +260,7 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   }
 
   DiagnosticSink sink(256);
-  Checker checker(loaded->graph, loaded->geom,
-                  {.via_rule = rule, .threads = chk.threads});
+  Checker checker(loaded->graph, loaded->geom, {.via_rule = rule});
   const CheckReport report = checker.check(sink);
   publish_sink_totals("doctor", sink);
   if (copt.loud(2))
@@ -285,9 +284,8 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   }
   if (!do_repair) return kExitInvalid;
 
-  robustness::RepairReport rep = robustness::repair_layout(
-      loaded->graph, loaded->geom,
-      {.rule = rule, .check_threads = chk.threads});
+  robustness::RepairReport rep =
+      robustness::repair_layout(loaded->graph, loaded->geom, {.rule = rule});
   if (copt.loud())
     std::cout << "\nrepair: " << rep.ripped.size() << " edge(s) ripped, "
               << rep.rerouted.size() << " re-routed, " << rep.failed.size()
@@ -428,26 +426,15 @@ void print_spec_errors(const DiagnosticSink& sink) {
               << "\n";
 }
 
-/// Pull --check-threads/--via-rule out of `args` (any position, any mode):
-/// the one shared CheckOptions parser. Every mode that runs the checker —
-/// layout, --doctor, --lint, sweep — consumes the result; the older
-/// per-mode `-transparent` stays as an alias for `--via-rule transparent`.
+/// Pull --via-rule out of `args` (any position, any mode): the one shared
+/// CheckOptions parser. --doctor and --lint check under the rule it names;
+/// a layout or sweep job is checked under the rule its realized layout
+/// requires. The older per-mode `-transparent` stays as an alias for
+/// `--via-rule transparent`.
 bool extract_check_options(std::vector<std::string>& args, CheckOptions& opt) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--check-threads") {
-      if (i + 1 >= args.size()) {
-        std::cerr << "layout_tool: --check-threads wants a worker count\n";
-        return false;
-      }
-      std::uint32_t n = 0;
-      if (!parse_u32_flag(args[++i], "--check-threads", n)) return false;
-      if (n == 0 || n > 256) {
-        std::cerr << "layout_tool: --check-threads wants 1..256 workers\n";
-        return false;
-      }
-      opt.threads = n;
-    } else if (args[i] == "--via-rule") {
+    if (args[i] == "--via-rule") {
       if (i + 1 >= args.size()) {
         std::cerr << "layout_tool: --via-rule wants blocking|transparent\n";
         return false;
@@ -470,8 +457,7 @@ bool extract_check_options(std::vector<std::string>& args, CheckOptions& opt) {
   return true;
 }
 
-int run_layout(const std::vector<std::string>& args, const CommonOptions& copt,
-               const CheckOptions& chk) {
+int run_layout(const std::vector<std::string>& args, const CommonOptions& copt) {
   std::uint32_t L = 4;
   std::string svg_path, save_path;
   bool congestion = false, check = true;
@@ -516,7 +502,6 @@ int run_layout(const std::vector<std::string>& args, const CommonOptions& copt,
   req.spec = *spec;
   req.options = {.L = L};
   req.check = check;
-  req.check_options = chk;  // via_rule is overridden by the realized layout
   api::LayoutResult result = api::run_layout(ortho, req);
   if (!result.ok) {
     std::cerr << "checker FAILED: " << result.error << "\n";
@@ -703,13 +688,11 @@ int run_bench_diff(const std::vector<std::string>& args,
 /// deterministic for a given job list — timings only appear at -v — so
 /// `-j 8` output is byte-identical to `-j 1`.
 int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
-              const CheckOptions& chk,
               obs::RunReport::SweepSummary* sweep_out) {
   std::uint32_t l_lo = 4, l_hi = 4;
   std::uint32_t jobs_flag = 0;
   std::string journal_path, resume_path;
   engine::SweepOptions opt;
-  opt.check_threads = chk.threads;
   std::vector<std::string> patterns;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-L" && i + 1 < args.size()) {
@@ -952,13 +935,13 @@ int run(int argc, char** argv) {
   else if (args[0] == "--lint")
     rc = run_lint({args.begin() + 1, args.end()}, copt, chk);
   else if (args[0] == "sweep")
-    rc = run_sweep({args.begin() + 1, args.end()}, copt, chk, &sweep_summary);
+    rc = run_sweep({args.begin() + 1, args.end()}, copt, &sweep_summary);
   else if (args[0] == "bench-diff")
     rc = run_bench_diff({args.begin() + 1, args.end()}, copt);
   else if (args[0] == "profile")
     rc = run_profile({args.begin() + 1, args.end()}, copt);
   else
-    rc = run_layout(args, copt, chk);
+    rc = run_layout(args, copt);
 
   if (copt.obs_enabled()) {
     obs::publish_peak_rss();  // final high-water mark, into the dump below

@@ -49,8 +49,6 @@ profile options:
   --top <N>         slowest-job rows to keep (default 10)
 
 checker options (all modes that verify geometry):
-  --check-threads <N>  checker workers over line groups, layers and edges
-                    (default 1); results are identical for every count
   --via-rule <rule>  blocking | transparent: via occupancy model for
                     --doctor and --lint (-transparent remains as an alias)
 observability (all modes):

@@ -13,24 +13,20 @@
 //   3. Connectivity: an edge whose runs the crossings already joined is
 //      connected; any other edge runs a union-find over its records,
 //      joining two records whose point boxes touch or are 6-adjacent.
-// Independent line groups, planes and edges may run on worker threads;
-// their outputs merge in index order and are sorted before reporting, so
-// the diagnostic sequence is the same for any worker count.
+// The phases run one after another on the calling thread, and each sorts
+// its findings before reporting them, so the diagnostic sequence depends
+// only on the input.
 #include "core/checker.hpp"
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstddef>
-#include <exception>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <set>
 #include <span>
-#include <thread>
 #include <tuple>
 #include <utility>
 
@@ -374,54 +370,6 @@ void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
   }
 }
 
-std::uint32_t resolve_threads(std::uint32_t requested) {
-  if (requested != 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw != 0 ? hw : 1;
-}
-
-/// Run fn(index, worker) for every index in [0, n) on up to `threads`
-/// workers pulling from a shared atomic cursor. Each worker re-installs the
-/// spawning thread's cancellation token (thread-locals do not inherit); the
-/// first exception aborts the remaining work and is rethrown after join.
-/// threads <= 1 runs inline with worker id 0.
-template <typename Fn>
-void parallel_for(std::uint32_t threads, std::size_t n, Fn&& fn) {
-  if (threads <= 1 || n <= 1) {
-    for (std::size_t i = 0; i < n; ++i) fn(i, std::uint32_t{0});
-    return;
-  }
-  const auto nw =
-      static_cast<std::uint32_t>(std::min<std::size_t>(threads, n));
-  std::atomic<std::size_t> cursor{0};
-  std::atomic<bool> abort{false};
-  std::mutex ex_mu;
-  std::exception_ptr first_ex;
-  const CancelToken* token = current_cancel_token();
-  std::vector<std::thread> pool;
-  pool.reserve(nw);
-  for (std::uint32_t w = 0; w < nw; ++w) {
-    pool.emplace_back([&, w] {
-      CancelScope scope(token);
-      try {
-        while (!abort.load(std::memory_order_relaxed)) {
-          const std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed);
-          if (i >= n) break;
-          fn(i, w);
-        }
-      } catch (...) {
-        {
-          const std::lock_guard<std::mutex> lock(ex_mu);
-          if (!first_ex) first_ex = std::current_exception();
-        }
-        abort.store(true, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (std::thread& t : pool) t.join();
-  if (first_ex) std::rethrow_exception(first_ex);
-}
-
 /// Union-find whose representatives are the smallest index.
 struct Dsu {
   std::vector<std::uint32_t> parent;
@@ -501,14 +449,13 @@ Hit hit_at(std::uint64_t at, EdgeId e1, EdgeId e2) {
   return {at, std::min(e1, e2), std::max(e1, e2)};
 }
 
-/// Sweeps whole lines of `runs` (sorted by key) in start order, merging in
+/// Sweeps the lines of `runs` (sorted by key) in start order, merging in
 /// place: an edge's own overlapping runs become one, so the distinct claims
 /// of a line are its merged lengths; an overlap with another edge's run is a
-/// hit at the later run's start. Every active run contains that start, so
-/// the work is the runs plus the overlaps reported. Returns how many merged
-/// runs now lead `runs`, still sorted.
-std::size_t sweep_lines(std::span<Run> runs, Axis axis,
-                        std::vector<Hit>& hits) {
+/// hit at the later run's start, added to `hits`. Every active run contains
+/// that start, so the work is the runs plus the overlaps reported. `runs`
+/// is left holding the merged runs, still sorted.
+void sweep_lines(std::vector<Run>& runs, Axis axis, std::vector<Hit>& hits) {
   std::vector<std::size_t> active;  // merged runs on the current line
   std::uint64_t line = ~std::uint64_t{0};
   std::size_t kept = 0;
@@ -540,45 +487,7 @@ std::size_t sweep_lines(std::span<Run> runs, Axis axis,
       runs[kept++] = r;
     }
   }
-  return kept;
-}
-
-/// Cut `runs` into at most `parts` contiguous ranges, never inside a line.
-std::vector<std::size_t> line_cuts(const std::vector<Run>& runs,
-                                   std::size_t parts) {
-  std::vector<std::size_t> cuts{0};
-  for (std::size_t p = 1; p < parts; ++p) {
-    std::size_t c = std::max(runs.size() * p / parts, cuts.back());
-    while (c > 0 && c < runs.size() &&
-           runs[c].line_key() == runs[c - 1].line_key())
-      ++c;
-    cuts.push_back(c);
-  }
-  cuts.push_back(runs.size());
-  return cuts;
-}
-
-/// Merge each edge's runs line by line, in place, in `threads` whole-line
-/// chunks compacted in chunk order (so the result is the serial one),
-/// adding different-edge overlaps to `hits`.
-void merge_lines(std::vector<Run>& runs, Axis axis, std::uint32_t threads,
-                 std::vector<Hit>& hits) {
-  const std::vector<std::size_t> cut = line_cuts(runs, threads);
-  std::vector<std::size_t> kept(threads);
-  std::vector<std::vector<Hit>> found(threads);
-  parallel_for(threads, threads, [&](std::size_t p, std::uint32_t) {
-    kept[p] = sweep_lines(
-        std::span(runs).subspan(cut[p], cut[p + 1] - cut[p]), axis, found[p]);
-  });
-  std::size_t size = 0;
-  for (std::size_t p = 0; p < threads; ++p) {
-    const auto from = runs.begin() + static_cast<std::ptrdiff_t>(cut[p]);
-    std::copy(from, from + static_cast<std::ptrdiff_t>(kept[p]),
-              runs.begin() + static_cast<std::ptrdiff_t>(size));
-    size += kept[p];
-    hits.insert(hits.end(), found[p].begin(), found[p].end());
-  }
-  runs.resize(size);
+  runs.resize(kept);
 }
 
 /// Runs regrouped with group and line swapped (e.g. via columns from
@@ -666,7 +575,7 @@ std::uint64_t plane_key(Plane p, std::uint32_t plane, std::uint32_t row,
   return key3(plane, pos, row);
 }
 
-/// Reused buffers of one crossing-sweep worker.
+/// Buffers the crossing sweeps reuse from plane to plane.
 struct CrossScratch {
   std::vector<std::uint32_t> pos;
   std::vector<std::uint64_t> by_lo;  ///< (first row, column) packed
@@ -839,40 +748,26 @@ std::vector<std::pair<std::size_t, std::size_t>> group_ranges(
 }
 
 /// All crossings of `rows` with `cols` (both sorted by key, grouped by
-/// plane), planes split over `threads` workers whose outputs append to
-/// `out` in plane order.
+/// plane), appended to `out` in plane order.
 void cross_planes(const std::vector<Run>& rows, const std::vector<Run>& cols,
-                  const CrossSpec& spec, std::uint32_t threads,
-                  CrossOut& out) {
+                  const CrossSpec& spec, CrossOut& out) {
   const auto rg = group_ranges(rows);
   const auto cg = group_ranges(cols);
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  CrossScratch sc;
   for (std::size_t i = 0, j = 0; i < rg.size() && j < cg.size();) {
     const std::uint32_t a = rows[rg[i].first].group();
     const std::uint32_t b = cols[cg[j].first].group();
-    if (a < b)
+    if (a < b) {
       ++i;
-    else if (b < a)
+    } else if (b < a) {
       ++j;
-    else
-      pairs.emplace_back(i++, j++);
-  }
-  std::vector<CrossOut> part(threads);
-  parallel_for(threads, threads, [&](std::size_t p, std::uint32_t) {
-    CrossScratch sc;
-    for (std::size_t k = pairs.size() * p / threads;
-         k < pairs.size() * (p + 1) / threads; ++k) {
+    } else {
       poll_cancellation("check");
-      const auto [r0, r1] = rg[pairs[k].first];
-      const auto [c0, c1] = cg[pairs[k].second];
-      sweep_crossings(rows, r0, r1, cols, c0, c1, spec, sc, part[p]);
+      sweep_crossings(rows, rg[i].first, rg[i].second, cols, cg[j].first,
+                      cg[j].second, spec, sc, out);
+      ++i;
+      ++j;
     }
-  });
-  for (CrossOut& p : part) {
-    out.same += p.same;
-    out.hits.insert(out.hits.end(), p.hits.begin(), p.hits.end());
-    out.points.insert(out.points.end(), p.points.begin(), p.points.end());
-    out.joins.insert(out.joins.end(), p.joins.begin(), p.joins.end());
   }
 }
 
@@ -964,7 +859,7 @@ struct Occupancy {
 void find_thefts(const Graph& g, const LayoutGeometry& geom,
                  const FrameResult& fr, const std::vector<Run>& hs,
                  const std::vector<Run>& vs, const std::vector<Run>& zs,
-                 std::uint32_t threads, std::vector<Finding>& found,
+                 std::vector<Finding>& found,
                  std::vector<std::uint8_t>& touches,
                  std::vector<Run>& scratch) {
   std::array<std::vector<Rect>, 2> rects;  // [0] rows, [1] columns
@@ -1037,11 +932,8 @@ void find_thefts(const Graph& g, const LayoutGeometry& geom,
                [](const Run& l, const Run& r) { return l.key < r.key; });
     c[0].swap(scratch);
   }
-  // One unit per (axis, box layer); findings merge in unit order.
-  std::vector<std::vector<Finding>> thefts(2 * box_layers.size());
-  std::vector<std::vector<std::pair<EdgeId, std::uint8_t>>> own(
-      thefts.size());
-  parallel_for(threads, thefts.size(), [&](std::size_t u, std::uint32_t) {
+  // One sweep per (box layer, axis).
+  for (std::size_t u = 0; u < 2 * box_layers.size(); ++u) {
     poll_cancellation("check");
     const std::size_t a = u % 2;
     const std::uint32_t z = box_layers[u / 2];
@@ -1053,21 +945,16 @@ void find_thefts(const Graph& g, const LayoutGeometry& geom,
                   const NodeId node = geom.boxes[r.box].node;
                   const Edge& ed = g.edge(c.edge);
                   if (node == ed.u || node == ed.v) {
-                    own[u].emplace_back(c.edge, (node == ed.u ? 1 : 0) |
-                                                    (node == ed.v ? 2 : 0));
+                    touches[c.edge] |= (node == ed.u ? 1 : 0) |
+                                       (node == ed.v ? 2 : 0);
                     return;
                   }
                   const std::uint32_t across = std::max(c.lo(), r.lo);
-                  thefts[u].push_back(
-                      {a == 0 ? key3(across, c.line(), z)
-                              : key3(c.line(), across, z),
-                       c.edge, kNoId, Code::kTerminalTheft, node});
+                  found.push_back({a == 0 ? key3(across, c.line(), z)
+                                          : key3(c.line(), across, z),
+                                   c.edge, kNoId, Code::kTerminalTheft, node});
                 });
-  });
-  for (const std::vector<Finding>& t : thefts)
-    found.insert(found.end(), t.begin(), t.end());
-  for (const auto& events : own)
-    for (const auto& [e, bits] : events) touches[e] |= bits;
+  }
 }
 
 /// The run arrays one thread's checks reuse: layouts checked back to back
@@ -1084,10 +971,10 @@ RunBuffers& run_buffers() {
 }
 
 /// Phase 2: collisions, terminal thefts and the distinct claim count, from
-/// sorts and sweeps over the frame-valid records.
+/// sorts and sweeps over the frame-valid records. Each step is a span under
+/// `check.occupancy`.
 Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
-                         const FrameResult& fr, ViaRule rule,
-                         std::uint32_t threads) {
+                         const FrameResult& fr, ViaRule rule) {
   auto valid = [&](EdgeId e) {
     return e < g.num_edges() && fr.edge_frame_ok[e] != 0;
   };
@@ -1098,50 +985,66 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
   std::vector<Run>& vs = buf.vs;
   std::vector<Run>& zs = buf.zs;
   std::vector<Run>& scratch = buf.scratch;  // sort buffer, then theft rows
-  hs.clear();
-  vs.clear();
-  zs.clear();
-  std::vector<std::uint8_t> wires_on(geom.num_layers + std::size_t{1}, 0);
-  for (const WireSeg& s : geom.segs) {
-    if (!valid(s.edge)) continue;
-    if (s.y1 == s.y2) {
-      hs.push_back({key3(s.x1, s.layer, s.y1), s.x2, s.edge});
-      wires_on[s.layer] |= 1;
-    } else {
-      vs.push_back({key3(s.y1, s.layer, s.x1), s.y2, s.edge});
-      wires_on[s.layer] |= 2;
-    }
-  }
-  std::size_t vias = 0;
-  for (const Via& v : geom.vias) {
-    if (!valid(v.edge)) continue;
-    ++vias;
-    if (rule == ViaRule::kBlocking) {
-      zs.push_back({key3(v.z1, v.x, v.y), v.z2, v.edge});
-    } else {
-      zs.push_back({key3(v.z1, v.x, v.y), v.z1, v.edge});
-      if (v.z2 != v.z1) zs.push_back({key3(v.z2, v.x, v.y), v.z2, v.edge});
-    }
-  }
   Occupancy out;
-  out.runs = hs.size() + vs.size() + zs.size();
-  out.records = hs.size() + vs.size() +
-                (rule == ViaRule::kBlocking ? zs.size() : vias);
-  sort_runs(hs, scratch);
-  sort_runs(vs, scratch);
-  sort_runs(zs, scratch);
+  std::vector<std::uint8_t> wires_on(geom.num_layers + std::size_t{1}, 0);
+  {
+    obs::Span step("check.occupancy.collect");
+    hs.clear();
+    vs.clear();
+    zs.clear();
+    for (const WireSeg& s : geom.segs) {
+      if (!valid(s.edge)) continue;
+      if (s.y1 == s.y2) {
+        hs.push_back({key3(s.x1, s.layer, s.y1), s.x2, s.edge});
+        wires_on[s.layer] |= 1;
+      } else {
+        vs.push_back({key3(s.y1, s.layer, s.x1), s.y2, s.edge});
+        wires_on[s.layer] |= 2;
+      }
+    }
+    std::size_t vias = 0;
+    for (const Via& v : geom.vias) {
+      if (!valid(v.edge)) continue;
+      ++vias;
+      if (rule == ViaRule::kBlocking) {
+        zs.push_back({key3(v.z1, v.x, v.y), v.z2, v.edge});
+      } else {
+        zs.push_back({key3(v.z1, v.x, v.y), v.z1, v.edge});
+        if (v.z2 != v.z1) zs.push_back({key3(v.z2, v.x, v.y), v.z2, v.edge});
+      }
+    }
+    out.runs = hs.size() + vs.size() + zs.size();
+    out.records = hs.size() + vs.size() +
+                  (rule == ViaRule::kBlocking ? zs.size() : vias);
+    step.arg("records", out.runs);
+  }
+  {
+    obs::Span step("check.occupancy.sort");
+    step.arg("records", out.runs);
+    sort_runs(hs, scratch);
+    sort_runs(vs, scratch);
+    sort_runs(zs, scratch);
+  }
   std::vector<Finding> found;
   out.touches.assign(g.num_edges(), 0);
-  find_thefts(g, geom, fr, hs, vs, zs, threads, found, out.touches, scratch);
+  {
+    obs::Span step("check.occupancy.theft");
+    step.arg("records", out.runs);
+    find_thefts(g, geom, fr, hs, vs, zs, found, out.touches, scratch);
+  }
 
   // Each kind merges per edge along its lines; overlaps on a line are hits.
   // From here on hs, vs and zs hold merged runs, numbered in that order.
   CrossOut cross;
-  merge_lines(hs, Axis::kX, threads, cross.hits);
-  merge_lines(vs, Axis::kY, threads, cross.hits);
-  merge_lines(zs, Axis::kZ, threads, cross.hits);
-  for (const std::vector<Run>* m : {&hs, &vs, &zs})
-    for (const Run& r : *m) out.points += r.hi - r.lo() + 1;
+  {
+    obs::Span step("check.occupancy.merge");
+    step.arg("records", out.runs);
+    sweep_lines(hs, Axis::kX, cross.hits);
+    sweep_lines(vs, Axis::kY, cross.hits);
+    sweep_lines(zs, Axis::kZ, cross.hits);
+    for (const std::vector<Run>* m : {&hs, &vs, &zs})
+      for (const Run& r : *m) out.points += r.hi - r.lo() + 1;
+  }
   const auto nh = static_cast<std::uint32_t>(hs.size());
   const auto nv = static_cast<std::uint32_t>(vs.size());
 
@@ -1150,28 +1053,40 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
   // Wires cross wires only on layers holding both directions, which a
   // layer-parity layout never has.
   const bool joins = rule == ViaRule::kBlocking;
-  Regrouped hl, vl;
-  if (std::find(wires_on.begin(), wires_on.end(), 3) != wires_on.end()) {
-    regroup(hs, [&](const Run& r) { return wires_on[r.line()] == 3; }, hl);
-    regroup(vs, [&](const Run& r) { return wires_on[r.line()] == 3; }, vl);
-  }
   std::vector<std::pair<std::uint64_t, EdgeId>> same_hv;
-  cross_planes(hl.runs, vl.runs,
-               {Plane::kLayer, true, joins, {hl.from.data(), 0},
-                {vl.from.data(), nh}},
-               threads, cross);
-  same_hv.swap(cross.points);
-  cross_planes(hs, zs,
-               {Plane::kRowY, false, joins, {nullptr, 0}, {nullptr, nh + nv}},
-               threads, cross);
-  Regrouped zc;
-  zc.runs.swap(scratch);
-  regroup(zs, [](const Run&) { return true; }, zc);
-  cross_planes(vs, zc.runs,
-               {Plane::kColumnX, false, joins, {nullptr, nh},
-                {zc.from.data(), nh + nv}},
-               threads, cross);
-  zc.runs.swap(scratch);  // keep the buffer for the next check
+  {
+    obs::Span step("check.occupancy.cross_layer");
+    Regrouped hl, vl;
+    if (std::find(wires_on.begin(), wires_on.end(), 3) != wires_on.end()) {
+      regroup(hs, [&](const Run& r) { return wires_on[r.line()] == 3; }, hl);
+      regroup(vs, [&](const Run& r) { return wires_on[r.line()] == 3; }, vl);
+    }
+    step.arg("records", hl.runs.size() + vl.runs.size());
+    cross_planes(hl.runs, vl.runs,
+                 {Plane::kLayer, true, joins, {hl.from.data(), 0},
+                  {vl.from.data(), nh}},
+                 cross);
+    same_hv.swap(cross.points);
+  }
+  {
+    obs::Span step("check.occupancy.cross_rows");
+    step.arg("records", hs.size() + zs.size());
+    cross_planes(hs, zs,
+                 {Plane::kRowY, false, joins, {nullptr, 0}, {nullptr, nh + nv}},
+                 cross);
+  }
+  {
+    obs::Span step("check.occupancy.cross_columns");
+    step.arg("records", vs.size() + zs.size());
+    Regrouped zc;
+    zc.runs.swap(scratch);
+    regroup(zs, [](const Run&) { return true; }, zc);
+    cross_planes(vs, zc.runs,
+                 {Plane::kColumnX, false, joins, {nullptr, nh},
+                  {zc.from.data(), nh + nv}},
+                 cross);
+    zc.runs.swap(scratch);  // keep the buffer for the next check
+  }
   out.points -= cross.same;
   for (const auto& [at, e] : same_hv) {
     // A same-edge wire crossing that the edge's own via also claims: find
@@ -1546,13 +1461,12 @@ CheckReport Checker::check(DiagnosticSink& sink) {
     frame_scan(g_, geom_, reporter, fr);
   }
   if (sink.full()) return finalize();
-  const std::uint32_t threads = resolve_threads(opt_.threads);
 
   // Phase 2: occupancy.
   Occupancy occ;
   {
     obs::Span phase("check.occupancy");
-    occ = scan_occupancy(g_, geom_, fr, opt_.via_rule, threads);
+    occ = scan_occupancy(g_, geom_, fr, opt_.via_rule);
     phase.arg("records", occ.runs);
     phase.arg("points", occ.points);
     rep.points = occ.points;
@@ -1563,34 +1477,32 @@ CheckReport Checker::check(DiagnosticSink& sink) {
   // Phase 3: connectivity. An edge the occupancy sweeps proved connected,
   // with both endpoint boxes registered, only needs its terminal test from
   // the box contacts; every other frame-valid edge runs the record-level
-  // union-find, in chunks merged in edge order.
+  // union-find.
   obs::Span phase("check.connectivity");
   const std::uint32_t num_edges = g_.num_edges();
   auto box_known = [&](NodeId n) {
     return fr.box_of[n] == nullptr || fr.box_registered[n] != 0;
   };
-  std::vector<EdgeId> slow;
+  std::vector<std::uint32_t> slot(num_edges, kNoId);  // index among slow
+  std::uint32_t slow = 0;  // edges that need the union-find
   for (EdgeId e = 0; e < num_edges; ++e) {
     if (!fr.edge_frame_ok[e]) continue;  // frame already reported
     const Edge& ed = g_.edge(e);
     if (occ.joined.empty() || !occ.joined[e] || !box_known(ed.u) ||
         !box_known(ed.v))
-      slow.push_back(e);
+      slot[e] = slow++;
   }
-  std::vector<std::uint32_t> slot(num_edges, kNoId);  // index into slow
-  for (std::size_t i = 0; i < slow.size(); ++i)
-    slot[slow[i]] = static_cast<std::uint32_t>(i);
-  std::vector<std::uint32_t> first(slow.size() + 1, 0);
+  std::vector<std::uint32_t> first(slow + std::size_t{1}, 0);
   auto slow_of = [&](EdgeId e) { return e < num_edges ? slot[e] : kNoId; };
-  if (!slow.empty()) {
+  if (slow != 0) {
     for (const WireSeg& s : geom_.segs)
       if (const std::uint32_t i = slow_of(s.edge); i != kNoId) ++first[i + 1];
     for (const Via& v : geom_.vias)
       if (const std::uint32_t i = slow_of(v.edge); i != kNoId) ++first[i + 1];
-    for (std::size_t i = 0; i < slow.size(); ++i) first[i + 1] += first[i];
+    for (std::size_t i = 0; i < slow; ++i) first[i + 1] += first[i];
   }
   std::vector<Rec> recs(first.back());
-  if (!slow.empty()) {
+  if (slow != 0) {
     std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
     for (const WireSeg& s : geom_.segs)
       if (const std::uint32_t i = slow_of(s.edge); i != kNoId)
@@ -1602,23 +1514,15 @@ CheckReport Checker::check(DiagnosticSink& sink) {
   phase.arg("records", occ.records);
   phase.arg("edges", num_edges);
   phase.arg("joined", recs.size());  // by the record-level union-find
-  std::vector<std::optional<Diagnostic>> slow_diag(slow.size());
-  const std::size_t chunks =
-      threads <= 1 ? 1 : std::min<std::size_t>(slow.size(), 8 * threads);
-  std::vector<Dsu> dsu(threads);
-  parallel_for(threads, chunks, [&](std::size_t c, std::uint32_t w) {
-    for (std::size_t i = slow.size() * c / chunks;
-         i < slow.size() * (c + 1) / chunks; ++i) {
+  Dsu dsu;
+  for (EdgeId e = 0; e < num_edges; ++e) {
+    if (!fr.edge_frame_ok[e]) continue;
+    if (const std::uint32_t i = slot[e]; i != kNoId) {
       poll_cancellation("check");
       const std::span<const Rec> mine(recs.data() + first[i],
                                       first[i + 1] - first[i]);
-      slow_diag[i] = verify_edge(g_, slow[i], mine, fr.box_of, dsu[w]);
-    }
-  });
-  for (EdgeId e = 0; e < num_edges; ++e) {
-    if (!fr.edge_frame_ok[e]) continue;
-    if (slot[e] != kNoId) {
-      if (slow_diag[slot[e]]) reporter(std::move(*slow_diag[slot[e]]));
+      if (auto d = verify_edge(g_, e, mine, fr.box_of, dsu))
+        reporter(std::move(*d));
       continue;
     }
     // Connected: the terminal test, as verify_edge makes it.

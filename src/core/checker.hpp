@@ -23,8 +23,8 @@
 // crossings come from an orthogonal-segment sweep per layer, vias are
 // probed as at most L single points, and connectivity is a union-find over
 // each edge's records. Work grows with records (plus reported overlaps),
-// not with wire length or area. The diagnostic sequence is deterministic
-// and byte-identical for any worker count.
+// not with wire length or area. A pass is one serial sweep on the calling
+// thread, and its diagnostic sequence depends only on the input.
 #pragma once
 
 #include <cstdint>
@@ -42,9 +42,8 @@ namespace mlvl {
 struct CheckOptions {
   /// Via occupancy model the layout must satisfy.
   ViaRule via_rule = ViaRule::kBlocking;
-  /// Worker threads for the line-group and per-edge phases; 1 = serial
-  /// (the default: the sweep engine already parallelizes across jobs),
-  /// 0 = hardware concurrency. Output is identical for every value.
+  /// Ignored: a pass always runs serially. Kept so that callers which
+  /// still set it compile; nothing reads it.
   std::uint32_t threads = 1;
 };
 
@@ -62,8 +61,8 @@ struct CheckReport {
 /// Record-level checker over one (graph, geometry) pair. The referenced
 /// graph and geometry must outlive the Checker; the geometry may be edited
 /// between passes (each pass reads it afresh). Not thread-safe itself (one
-/// pass at a time); a pass may use internal worker threads per
-/// `CheckOptions::threads`.
+/// pass at a time); a pass runs serially on the calling thread, so
+/// different Checkers may run side by side on different threads.
 class Checker {
  public:
   Checker(const Graph& g, const LayoutGeometry& geom, CheckOptions opt = {});

@@ -288,7 +288,6 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
           req.spec = r.spec;
           req.options = jobs[i].options;
           req.check = opt_.check;
-          req.check_options.threads = opt_.check_threads;
           api::LayoutResult res = api::run_layout(ortho, req, nullptr);
           r.ok = res.ok;
           r.error = std::move(res.error);

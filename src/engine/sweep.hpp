@@ -89,10 +89,6 @@ struct JobResult {
 struct SweepOptions {
   unsigned threads = 0;  ///< worker count; 0 = hardware concurrency
   bool check = true;     ///< run the geometric checker per job
-  /// Checker workers per job (CheckOptions::threads). Default 1: the
-  /// sweep already parallelizes across jobs; raise it only for single-job
-  /// batches on huge layouts.
-  std::uint32_t check_threads = 1;
   /// Cooperative wall-clock budgets; 0 = none. A tripped job budget yields
   /// JobVerdict::kDeadline; a tripped sweep budget cancels in-flight jobs
   /// and skips the rest.

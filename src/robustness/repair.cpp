@@ -394,8 +394,7 @@ RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
   std::set<EdgeId> ever_failed;
 
   // Each pass re-reads the edited geometry through the same checker.
-  Checker checker(g, geom,
-                  {.via_rule = opt.rule, .threads = opt.check_threads});
+  Checker checker(g, geom, {.via_rule = opt.rule});
 
   for (std::uint32_t pass = 1; pass <= opt.max_passes; ++pass) {
     rep.passes = pass;

@@ -32,8 +32,6 @@ struct RepairOptions {
   ViaRule rule = ViaRule::kBlocking;
   std::uint32_t max_passes = 3;          ///< rip-up/re-route/re-verify rounds
   std::size_t max_diagnostics = 512;     ///< per-pass collection budget
-  /// Worker threads for each verification pass (CheckOptions::threads).
-  std::uint32_t check_threads = 1;
   /// Router give-up threshold: free cells entered per edge before declaring
   /// it unroutable (bounds worst-case work on dense or adversarial layouts).
   std::uint64_t max_search_cells = 4u << 20;

@@ -185,7 +185,6 @@ TEST(RunLayout, CheckReportRidesTheResult) {
   LayoutRequest req;
   req.spec = *FamilyRegistry::instance().parse("hypercube(n=4)");
   req.options = {.L = 4};
-  req.check_options.threads = 2;  // via_rule is overridden by the layout's
   LayoutResult res = run_layout(req);
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_TRUE(res.check_report.ok);

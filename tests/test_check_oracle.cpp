@@ -4,7 +4,7 @@
 // malformed, out-of-range, overlapping and foreign records included — both
 // must agree on the verdict, the frame and connectivity diagnostics (byte
 // for byte, in order), the set of occupancy detections, and the distinct
-// claim count. One and eight worker threads must give identical output.
+// claim count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -65,19 +65,13 @@ Split split(const std::vector<Diagnostic>& ds) {
   return s;
 }
 
-std::vector<std::string> rendered(const DiagnosticSink& sink) {
-  std::vector<std::string> out;
-  for (const Diagnostic& d : sink.diagnostics()) out.push_back(d.to_string());
-  return out;
-}
-
-/// Checker (1 and 8 threads) against the oracle on one geometry. Returns
-/// true when everything agrees; failures are reported with `ctx`.
+/// Checker against the oracle on one geometry. Returns true when everything
+/// agrees; failures are reported with `ctx`.
 bool agree(const Graph& g, const LayoutGeometry& geom, ViaRule rule,
            const std::string& ctx) {
   DiagnosticSink sink(kUnbounded);
   const CheckReport rep =
-      Checker(g, geom, {.via_rule = rule, .threads = 1}).check(sink);
+      Checker(g, geom, {.via_rule = rule}).check(sink);
   const oracle::OracleReport want = oracle::check_points(g, geom, rule);
 
   const Split got = split(sink.diagnostics());
@@ -100,13 +94,6 @@ bool agree(const Graph& g, const LayoutGeometry& geom, ViaRule rule,
   check(got.connectivity == exp.connectivity, "connectivity diagnostics");
   check(got.occupancy == exp.occupancy, "occupancy detection set");
   check(rep.points == want.points, "points");
-
-  DiagnosticSink par_sink(kUnbounded);
-  const CheckReport par =
-      Checker(g, geom, {.via_rule = rule, .threads = 8}).check(par_sink);
-  check(rendered(par_sink) == rendered(sink), "8-thread output");
-  check(par.points == rep.points && par.error == rep.error,
-        "8-thread report");
   return ok;
 }
 

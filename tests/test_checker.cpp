@@ -211,28 +211,6 @@ TEST(CheckerApi, FullCheckCountsDistinctClaims) {
   EXPECT_GE(rep.wall_ms, 0.0);
 }
 
-TEST(CheckerApi, ParallelMatchesSerialByteForByte) {
-  // Seed collisions into several stripes: each tampered group gains a
-  // second wire, owned by the *next* edge, on the same track.
-  Tall t;
-  for (std::uint32_t i : {3u, 11u, 20u, 30u})
-    t.geom.segs.push_back({1, 3 * i, 9, 3 * i, 1, i + 1});
-
-  DiagnosticSink serial_sink(4096);
-  Checker serial(t.g, t.geom, {.threads = 1});
-  CheckReport serial_rep = serial.check(serial_sink);
-
-  DiagnosticSink parallel_sink(4096);
-  Checker parallel(t.g, t.geom, {.threads = 8});
-  CheckReport parallel_rep = parallel.check(parallel_sink);
-
-  EXPECT_FALSE(serial_rep.ok);
-  EXPECT_EQ(serial_rep.ok, parallel_rep.ok);
-  EXPECT_EQ(serial_rep.error, parallel_rep.error);
-  EXPECT_EQ(serial_rep.points, parallel_rep.points);
-  EXPECT_EQ(rendered(serial_sink), rendered(parallel_sink));
-}
-
 TEST(CheckerApi, RepeatedCheckSeesGeometryEdits) {
   Tall t;
   Checker checker(t.g, t.geom);

@@ -181,6 +181,7 @@ TEST(Trace, ChromeTraceIsWellFormedJson) {
 
 /// The checker's three sub-phases nest directly under its `check` span and
 /// carry their work counters, so a profile can report items/s per phase.
+/// The occupancy steps nest the same way under `check.occupancy`.
 TEST(Obs, CheckSubPhasesNestUnderCheckWithRecordCounts) {
   Orthogonal2Layer o = layout::layout_hypercube(4);
   MultilayerLayout ml = realize(o, {.L = 4});
@@ -218,6 +219,28 @@ TEST(Obs, CheckSubPhasesNestUnderCheckWithRecordCounts) {
             ml.geom.boxes.size() + ml.geom.segs.size() + ml.geom.vias.size());
   EXPECT_EQ(arg(*find("check.occupancy"), "points"), rep.points);
   EXPECT_EQ(arg(*find("check.connectivity"), "edges"), o.graph.num_edges());
+
+  // The steps run one after another, so their summed time cannot exceed
+  // the parent's.
+  const obs::TraceEvent* occ = find("check.occupancy");
+  std::uint64_t steps_us = 0;
+  for (const char* step :
+       {"check.occupancy.collect", "check.occupancy.sort",
+        "check.occupancy.theft", "check.occupancy.merge",
+        "check.occupancy.cross_layer", "check.occupancy.cross_rows",
+        "check.occupancy.cross_columns"}) {
+    const obs::TraceEvent* ev = find(step);
+    ASSERT_NE(ev, nullptr) << "missing span: " << step;
+    EXPECT_EQ(ev->depth, occ->depth + 1) << step;
+    EXPECT_GE(ev->ts_us, occ->ts_us) << step;
+    EXPECT_LE(ev->ts_us + ev->dur_us, occ->ts_us + occ->dur_us) << step;
+    (void)arg(*ev, "records");
+    steps_us += ev->dur_us;
+  }
+  EXPECT_LE(steps_us, occ->dur_us);
+  EXPECT_EQ(arg(*find("check.occupancy.collect"), "records"),
+            arg(*occ, "records"));
+  EXPECT_GT(arg(*find("check.occupancy.cross_rows"), "records"), 0u);
 }
 
 /// Lint runs each rule under its own `lint.<rule-id>` span, and a repair
@@ -567,14 +590,15 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
         "--resume <file>", "bench-diff <baseline.json> <current.json>",
         "--max-regress", "--noise-floor", "--json", "--save-baseline",
         "--metrics-interval", "profile <trace.json>", "--report <file>",
-        "--top <N>", "--check-threads <N>", "checker workers over line groups",
-        "--via-rule <rule>", "checker options",
+        "--top <N>", "--via-rule <rule>", "checker options",
         "exit codes: 0 valid, 1 invalid, 2 parse error, 3 usage"})
     EXPECT_NE(usage.find(needle), std::string::npos)
         << "usage text lost: " << needle;
   // Flags and modes the tool no longer has must not be advertised.
-  for (const char* gone : {"-nocache", "--retries", "--backoff",
-                           "--cache-capacity", "--soft-capacity", "soak"})
+  for (const char* gone :
+       {"-nocache", "--retries", "--backoff", "--cache-capacity",
+        "--soft-capacity", "soak", "--check-threads",
+        "checker workers over line groups"})
     EXPECT_EQ(usage.find(gone), std::string::npos)
         << "usage text still names: " << gone;
 }

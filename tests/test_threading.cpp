@@ -286,55 +286,12 @@ TEST(ThreadingSampler, StopIsPromptForLongIntervals) {
   EXPECT_LT(ms, 10'000.0);
 }
 
-// ------------------------------------------------------ Parallel checker
+// ------------------------------------------------------ Concurrent checkers
 
-/// Multi-threaded check under TSan: worker threads claim line groups,
-/// layers and edge chunks from the shared cursor and their results merge in
-/// index order. Every repeat and every worker count must produce
-/// byte-identical diagnostics; any race in the scratch reuse or the merge is
-/// a TSan report.
-TEST(ThreadingChecker, ParallelCheckIsDeterministicUnderRepeats) {
-  Graph g(16);
-  LayoutGeometry geom;
-  geom.num_layers = 2;
-  geom.width = 12;
-  geom.height = 24;
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    const std::uint32_t y = 3 * i;
-    g.add_edge(2 * i, 2 * i + 1);
-    geom.boxes.push_back({0, y, 2, 2, 2 * i});
-    geom.boxes.push_back({9, y, 2, 2, 2 * i + 1});
-    geom.segs.push_back({1, y, 9, y, 1, i});
-  }
-  // Edges 1 and 5 invade their neighbours' tracks.
-  geom.segs.push_back({1, 0, 9, 0, 1, 1});
-  geom.segs.push_back({1, 12, 9, 12, 1, 5});
-
-  auto render = [](const DiagnosticSink& sink) {
-    std::string out;
-    for (const Diagnostic& d : sink.diagnostics()) out += d.to_string() + '\n';
-    return out;
-  };
-
-  DiagnosticSink serial_sink(1024);
-  CheckReport serial =
-      Checker(g, geom, {.threads = 1}).check(serial_sink);
-  const std::string want = render(serial_sink);
-  EXPECT_FALSE(serial.ok);
-
-  for (int rep = 0; rep < 8; ++rep) {
-    DiagnosticSink sink(1024);
-    Checker checker(g, geom, {.threads = kThreads});
-    CheckReport r = checker.check(sink);
-    ASSERT_EQ(r.ok, serial.ok) << "repeat " << rep;
-    ASSERT_EQ(r.points, serial.points) << "repeat " << rep;
-    ASSERT_EQ(render(sink), want) << "repeat " << rep;
-  }
-}
-
-/// Independent Checker instances (each spawning its own workers) are
-/// safe to run concurrently — the only shared state is the installed
-/// metrics registry, whose totals must come out exact.
+/// Independent Checker instances are safe to run concurrently, as engine
+/// workers run them — each on its own thread's run buffers. The only
+/// shared state is the installed metrics registry, whose totals must come
+/// out exact.
 TEST(ThreadingChecker, ConcurrentCheckersKeepExactMetricTotals) {
   obs::MetricsRegistry reg;
   reg.install();
@@ -348,8 +305,7 @@ TEST(ThreadingChecker, ConcurrentCheckersKeepExactMetricTotals) {
   constexpr int kIters = 4;
   run_threads([&](unsigned) {
     for (int i = 0; i < kIters; ++i) {
-      Checker checker(o.graph, ml.geom,
-                      {.via_rule = ml.required_rule, .threads = 2});
+      Checker checker(o.graph, ml.geom, {.via_rule = ml.required_rule});
       DiagnosticSink sink(64);
       CheckReport r = checker.check(sink);
       if (r.ok) oks.fetch_add(1, std::memory_order_relaxed);
