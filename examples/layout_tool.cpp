@@ -2,9 +2,10 @@
 // network, lay it out for L layers, verify, and report/export. Also the
 // doctor: load a saved layout, collect every violation with exact
 // coordinates, and optionally rip-up/re-route the implicated edges. And the
-// profiler: --trace/--metrics record every pipeline phase (topology,
-// placement, interval, realize, fold, check, lint, repair) as Chrome
-// trace-event JSON and a metrics registry dump, without touching stdout.
+// profiler: --trace/--metrics record every phase the run executes
+// (topology, placement, interval, realize, check, lint, repair) under one
+// `tool.<mode>` root span as Chrome trace-event JSON and a metrics registry
+// dump, without touching stdout or changing what runs.
 // And the sweeper: `sweep` expands family patterns like hypercube(n=6..10)
 // across an -L range and runs every job on the parallel batch engine, with
 // results printed in submission order (so -j 8 output is byte-identical to
@@ -13,9 +14,7 @@
 // so a killed sweep restarts where it stopped, byte-identical to an
 // uninterrupted run. And the perf gate: `bench-diff` compares a fresh
 // BENCH_mlvl.json against the committed baseline with noise-aware
-// thresholds and fails the build on regressions; `--metrics-interval`
-// samples the metrics registry periodically into a time-series JSON during
-// long runs.
+// thresholds and fails the build on regressions.
 //
 // Families are resolved through api::FamilyRegistry — the single dispatch
 // point shared by every front end — not a per-tool if-else chain.
@@ -33,7 +32,6 @@
 #include <map>
 #include <new>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -43,7 +41,6 @@
 #include "analysis/routing.hpp"
 #include "api/layout_api.hpp"
 #include "core/checker.hpp"
-#include "core/fold.hpp"
 #include "core/io.hpp"
 #include "core/metrics.hpp"
 #include "core/svg.hpp"
@@ -53,9 +50,6 @@
 #include "obs/bench_compare.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
-#include "obs/run_context.hpp"
-#include "obs/run_report.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "robustness/repair.hpp"
 
@@ -74,19 +68,10 @@ constexpr int kExitUsage = 3;
 struct CommonOptions {
   std::string trace_path;
   std::string metrics_path;
-  std::string report_path;  ///< --report: unified mlvl-run-report-v1 JSON
-  std::uint32_t metrics_interval_ms = 0;  ///< 0 = no periodic sampling
   int verbosity = 1;
 
   [[nodiscard]] bool obs_enabled() const {
-    return !trace_path.empty() || !metrics_path.empty() ||
-           !report_path.empty() || metrics_interval_ms != 0;
-  }
-  /// Where the --metrics-interval time series lands: next to the --metrics
-  /// file when one was named, else ./metrics_series.json.
-  [[nodiscard]] std::string series_path() const {
-    return metrics_path.empty() ? "metrics_series.json"
-                                : metrics_path + ".series.json";
+    return !trace_path.empty() || !metrics_path.empty();
   }
   [[nodiscard]] bool loud(int level = 1) const { return verbosity >= level; }
 };
@@ -108,14 +93,6 @@ bool extract_common(std::vector<std::string>& args, CommonOptions& opt) {
     } else if (args[i] == "--metrics") {
       if (i + 1 >= args.size()) return false;
       opt.metrics_path = args[++i];
-    } else if (args[i] == "--metrics-interval") {
-      if (i + 1 >= args.size()) return false;
-      std::optional<std::uint64_t> ms = api::parse_uint(args[++i]);
-      if (!ms || *ms == 0 || *ms > 3600000) return false;
-      opt.metrics_interval_ms = static_cast<std::uint32_t>(*ms);
-    } else if (args[i] == "--report") {
-      if (i + 1 >= args.size()) return false;
-      opt.report_path = args[++i];
     } else if (args[i] == "--quiet" || args[i] == "-q") {
       opt.verbosity = 0;
     } else if (args[i] == "-v") {
@@ -233,12 +210,9 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
                const CheckOptions& chk) {
   std::string file, save_path;
   bool do_repair = false;
-  ViaRule rule = chk.via_rule;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-repair") {
       do_repair = true;
-    } else if (args[i] == "-transparent") {
-      rule = ViaRule::kTransparent;
     } else if (args[i] == "-save" && i + 1 < args.size()) {
       save_path = args[++i];
     } else if (file.empty() && !args[i].empty() && args[i][0] != '-') {
@@ -260,7 +234,7 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   }
 
   DiagnosticSink sink(256);
-  Checker checker(loaded->graph, loaded->geom, {.via_rule = rule});
+  Checker checker(loaded->graph, loaded->geom, {.via_rule = chk.via_rule});
   const CheckReport report = checker.check(sink);
   publish_sink_totals("doctor", sink);
   if (copt.loud(2))
@@ -285,7 +259,8 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   if (!do_repair) return kExitInvalid;
 
   robustness::RepairReport rep =
-      robustness::repair_layout(loaded->graph, loaded->geom, {.rule = rule});
+      robustness::repair_layout(loaded->graph, loaded->geom,
+                                {.rule = chk.via_rule});
   if (copt.loud())
     std::cout << "\nrepair: " << rep.ripped.size() << " edge(s) ripped, "
               << rep.rerouted.size() << " re-routed, " << rep.failed.size()
@@ -321,8 +296,6 @@ int run_lint(const std::vector<std::string>& args, const CommonOptions& copt,
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-strict") {
       strict = true;
-    } else if (args[i] == "-transparent") {
-      cfg.via_rule = ViaRule::kTransparent;
     } else if (args[i] == "-baseline" && i + 1 < args.size()) {
       baseline_path = args[++i];
     } else if (args[i] == "-save-baseline" && i + 1 < args.size()) {
@@ -429,8 +402,7 @@ void print_spec_errors(const DiagnosticSink& sink) {
 /// Pull --via-rule out of `args` (any position, any mode): the one shared
 /// CheckOptions parser. --doctor and --lint check under the rule it names;
 /// a layout or sweep job is checked under the rule its realized layout
-/// requires. The older per-mode `-transparent` stays as an alias for
-/// `--via-rule transparent`.
+/// requires.
 bool extract_check_options(std::vector<std::string>& args, CheckOptions& opt) {
   std::vector<std::string> rest;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -521,32 +493,6 @@ int run_layout(const std::vector<std::string>& args, const CommonOptions& copt) 
                      ml.geom.vias.size()
               << " record(s) checked in " << result.check_report.wall_ms
               << " ms\n";
-
-  if (copt.obs_enabled()) {
-    // Profiled pipeline extras: the fold baseline the paper compares against
-    // and a lint pass, so the trace records every phase and the registry the
-    // full cost picture. The 2-layer baseline metrics are computed with the
-    // registry uninstalled so its gauges do not clobber the real run's.
-    obs::MetricsRegistry* registry = obs::MetricsRegistry::current();
-    obs::MetricsRegistry::uninstall();
-    LayoutMetrics m2 = compute_metrics(realize(ortho, {.L = 2}), ortho.graph);
-    if (registry != nullptr) registry->install();
-    const BaselineMetrics folded = fold_thompson(m2, L);
-    obs::gauge_set("fold.baseline_area", static_cast<double>(folded.area));
-    obs::gauge_set("fold.baseline_volume", static_cast<double>(folded.volume));
-    obs::gauge_set("fold.baseline_max_wire",
-                   static_cast<double>(folded.max_wire_length));
-
-    analysis::LintConfig lint_cfg;
-    lint_cfg.via_rule = ml.required_rule;
-    DiagnosticSink lint_sink(1024);
-    analysis::LintStats lint_stats =
-        analysis::lint_layout(ortho.graph, ml.geom, lint_cfg, lint_sink);
-    publish_sink_totals("lint", lint_sink);
-    if (copt.loud(2))
-      std::cout << "lint: " << lint_stats.reported << " finding(s), "
-                << lint_stats.suppressed << " suppressed\n";
-  }
 
   LayoutMetrics& m = result.metrics;
   if (copt.loud()) {
@@ -687,8 +633,8 @@ int run_bench_diff(const std::vector<std::string>& args,
 /// the parallel engine, print per-job metrics in submission order. Stdout is
 /// deterministic for a given job list — timings only appear at -v — so
 /// `-j 8` output is byte-identical to `-j 1`.
-int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
-              obs::RunReport::SweepSummary* sweep_out) {
+int run_sweep(const std::vector<std::string>& args,
+              const CommonOptions& copt) {
   std::uint32_t l_lo = 4, l_hi = 4;
   std::uint32_t jobs_flag = 0;
   std::string journal_path, resume_path;
@@ -788,26 +734,6 @@ int run_sweep(const std::vector<std::string>& args, const CommonOptions& copt,
   }
 
   engine::SweepReport report = engine::run_sweep(jobs, opt);
-
-  // Copy the flight-recorder sweep summary out for --report: verdict
-  // tallies, build hit/miss counts, and the deadlines this run ran under.
-  if (sweep_out != nullptr) {
-    obs::RunReport::SweepSummary& s = *sweep_out;
-    s.present = true;
-    s.jobs = report.jobs.size();
-    s.resumed = report.resumed;
-    s.threads = report.threads;
-    s.wall_ms = report.wall_ms;
-    s.busy_ms = report.busy_ms;
-    s.utilization = report.utilization();
-    for (const engine::JobResult& j : report.jobs)
-      ++s.verdicts[engine::verdict_name(j.verdict)];
-    s.cache_hits = report.cache_hits;
-    s.cache_misses = report.cache_misses;
-    s.warnings = report.warnings.size();
-    s.job_deadline_ms = opt.job_deadline_ms;
-    s.sweep_deadline_ms = opt.sweep_deadline_ms;
-  }
 
   if (copt.loud()) {
     analysis::Table t({"spec", "L", "nodes", "edges", "area", "track_area",
@@ -920,76 +846,42 @@ int run(int argc, char** argv) {
 
   obs::TraceSession trace;
   obs::MetricsRegistry registry;
-  obs::MetricsSampler sampler;
   if (copt.obs_enabled()) {
     trace.install();
     registry.install();
-    if (copt.metrics_interval_ms != 0)
-      sampler.start(registry, copt.metrics_interval_ms);
   }
 
-  obs::RunReport::SweepSummary sweep_summary;
+  // One root span per mode, closed before the session is uninstalled, so
+  // time outside every phase shows up as its self time in `profile`.
+  const std::vector<std::string> rest(args.begin() + 1, args.end());
   int rc;
-  if (args[0] == "--doctor")
-    rc = run_doctor({args.begin() + 1, args.end()}, copt, chk);
-  else if (args[0] == "--lint")
-    rc = run_lint({args.begin() + 1, args.end()}, copt, chk);
-  else if (args[0] == "sweep")
-    rc = run_sweep({args.begin() + 1, args.end()}, copt, &sweep_summary);
-  else if (args[0] == "bench-diff")
-    rc = run_bench_diff({args.begin() + 1, args.end()}, copt);
-  else if (args[0] == "profile")
-    rc = run_profile({args.begin() + 1, args.end()}, copt);
-  else
+  if (args[0] == "--doctor") {
+    obs::Span root("tool.doctor");
+    rc = run_doctor(rest, copt, chk);
+  } else if (args[0] == "--lint") {
+    obs::Span root("tool.lint");
+    rc = run_lint(rest, copt, chk);
+  } else if (args[0] == "sweep") {
+    obs::Span root("tool.sweep");
+    rc = run_sweep(rest, copt);
+  } else if (args[0] == "bench-diff") {
+    obs::Span root("tool.bench-diff");
+    rc = run_bench_diff(rest, copt);
+  } else if (args[0] == "profile") {
+    obs::Span root("tool.profile");
+    rc = run_profile(rest, copt);
+  } else {
+    obs::Span root("tool.layout");
     rc = run_layout(args, copt);
+  }
 
   if (copt.obs_enabled()) {
     obs::publish_peak_rss();  // final high-water mark, into the dump below
-    sampler.stop();
     obs::TraceSession::uninstall();
     obs::MetricsRegistry::uninstall();
     if (copt.loud(2)) print_phase_summary(trace, copt.verbosity);
     if (!flush_obs(copt, trace, registry) && rc == kExitValid)
       rc = kExitInvalid;
-    if (copt.metrics_interval_ms != 0) {
-      std::ofstream os(copt.series_path());
-      if (os) sampler.write_json(os);
-      if (!os) {
-        std::cerr << "failed to write " << copt.series_path() << "\n";
-        if (rc == kExitValid) rc = kExitInvalid;
-      } else if (copt.loud()) {
-        std::cout << "wrote metrics series " << copt.series_path() << " ("
-                  << sampler.snapshots() << " snapshot(s))\n";
-      }
-    }
-    if (!copt.report_path.empty()) {
-      // Unified run report: the profile of this run's own trace, the final
-      // metrics snapshot, and (for sweep) the verdict/cache/governance
-      // summary, all under the one run id the other artifacts carry.
-      obs::RunReport rep;
-      rep.run_id = obs::run_id();
-      rep.env = obs::capture_build_env();
-      if (trace.size() != 0) {
-        rep.has_profile = true;
-        rep.profile = obs::profile_session(trace);
-      }
-      std::ostringstream mos;
-      registry.write_json(mos);
-      rep.metrics_json = mos.str();
-      rep.sweep = sweep_summary;
-      std::ofstream os(copt.report_path);
-      if (os) rep.write_json(os);
-      if (!os) {
-        std::cerr << "failed to write " << copt.report_path << "\n";
-        if (rc == kExitValid) rc = kExitInvalid;
-      } else if (copt.loud()) {
-        std::cout << "wrote run report " << copt.report_path << "\n";
-        if (copt.loud(2)) {
-          rep.write_summary(std::cout);
-          std::cout << "\n";
-        }
-      }
-    }
   }
   return rc;
 }

@@ -13,9 +13,9 @@ inline constexpr const char kLayoutToolUsage[] =
                    [--max-regress pct] [--noise-floor ms] [--json file]
                    [--save-baseline]
        layout_tool profile <trace.json> [--json file] [--top N]
-       layout_tool --doctor <file> [-repair] [-save file] [-transparent]
+       layout_tool --doctor <file> [-repair] [-save file]
        layout_tool --lint <file> [-strict] [-baseline file]
-                   [-save-baseline file] [-disable rule] [-transparent]
+                   [-save-baseline file] [-disable rule]
 networks: hypercube n | kary k n | mesh k n | ghc r n |
           folded n | enhanced n seed | ccc n | rh n |
           hsn levels r | hhn levels m | isn levels r |
@@ -50,27 +50,20 @@ profile options:
 
 checker options (all modes that verify geometry):
   --via-rule <rule>  blocking | transparent: via occupancy model for
-                    --doctor and --lint (-transparent remains as an alias)
+                    --doctor and --lint
 observability (all modes):
   --trace <file>    write a Chrome trace-event JSON of every pipeline phase
   --metrics <file>  write the metrics registry (.csv extension -> CSV, else JSON)
-  --metrics-interval <ms>  sample the registry every <ms> into a time-series
-                    JSON (<metrics file>.series.json, or metrics_series.json)
-  --report <file>   write a unified mlvl-run-report-v1 JSON: run id, env,
-                    profile summary, metrics snapshot, and (for sweep) the
-                    verdict / cache / deadline summary
   --quiet | -q      errors only (exit code still reports validity)
   -v                more detail (repeatable: -v phase summary, -v -v debug)
 doctor options:
   -repair           rip up implicated edges and re-route through free cells
   -save <file>      write the (repaired) layout back out
-  -transparent      verify under the stacked-via rule instead of blocking
 lint options:
   -strict           exit 1 when any unsuppressed warning remains
   -baseline <file>  suppress the finding fingerprints listed in file
   -save-baseline <f> write the current findings as a baseline and exit 0
   -disable <rule-id> turn one rule off (repeatable)
-  -transparent      lint under the stacked-via rule instead of blocking
 exit codes: 0 valid, 1 invalid, 2 parse error, 3 usage
 )usage";
 

@@ -8,16 +8,15 @@
 // `--doctor` mode of the layout tool, the fault-injection detection matrix,
 // and the repair pipeline all rely on the complete list).
 //
-// Threading: `DiagnosticSink` is thread-safe — the batch engine routes cache
-// soft-capacity warnings into a sink from worker threads while the
-// submitting thread owns it (see DESIGN.md §7.10). All mutation and all
+// Threading: `DiagnosticSink` is thread-safe, though no caller shares one
+// across threads today: each sweep job, checker pass and CLI mode reports
+// into a sink it owns (see DESIGN.md §7.10). All mutation and all
 // aggregate queries lock `mu_`; the capacity checks `full()` / `size()` /
 // `empty()` read a relaxed atomic mirror of the retained count instead, so
 // the checker's per-grid-point early-out bound costs one atomic load, not a
 // lock. `diagnostics()` / `first()` return references into the sink;
 // `report` may reallocate the underlying vector, so those references are
-// only safe to use once producers have quiesced (workers joined) — the
-// engine's read-after-join pattern.
+// only safe to use once producers have quiesced.
 #pragma once
 
 #include <atomic>

@@ -26,7 +26,6 @@
 // analysis can see); `CondVar` carries the REQUIRES contract on wait().
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -116,10 +115,10 @@ class MLVL_SCOPED_CAPABILITY MutexLock {
   Mutex* mu_;
 };
 
-/// Condition variable bound to `Mutex`. wait()/wait_for() carry the
-/// REQUIRES contract: the caller must hold the mutex, and holds it again
-/// when the call returns (the wrapper re-adopts it, so the analysis sees an
-/// unbroken critical section — exactly the standard CV semantic).
+/// Condition variable bound to `Mutex`. wait() carries the REQUIRES
+/// contract: the caller must hold the mutex, and holds it again when the
+/// call returns (the wrapper re-adopts it, so the analysis sees an unbroken
+/// critical section — exactly the standard CV semantic).
 class CondVar {
  public:
   CondVar() = default;
@@ -130,16 +129,6 @@ class CondVar {
     std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
     cv_.wait(lock);
     lock.release();  // ownership returns to the caller's MutexLock
-  }
-
-  /// Returns false on timeout (like std::cv_status::timeout).
-  template <class Rep, class Period>
-  bool wait_for(Mutex& mu, std::chrono::duration<Rep, Period> d)
-      MLVL_REQUIRES(mu) {
-    std::unique_lock<std::mutex> lock(mu.mu_, std::adopt_lock);
-    const std::cv_status st = cv_.wait_for(lock, d);
-    lock.release();
-    return st != std::cv_status::timeout;
   }
 
   void notify_one() { cv_.notify_one(); }

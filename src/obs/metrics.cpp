@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <ostream>
 #include <sstream>
 
 #include "obs/run_context.hpp"
+
+#if defined(__linux__)
+#include <sys/resource.h>
+#endif
 
 namespace mlvl::obs {
 namespace detail {
@@ -170,6 +175,32 @@ void MetricsRegistry::write_csv(std::ostream& os) const {
     os << "histogram," << name << ",min," << format_number(h.min) << "\n";
     os << "histogram," << name << ",max," << format_number(h.max) << "\n";
   }
+}
+
+std::uint64_t publish_peak_rss() {
+  std::uint64_t bytes = 0;
+#if defined(__linux__)
+  // /proc/self/status VmHWM is the peak resident set in kB; getrusage
+  // ru_maxrss (also kB on Linux) is the fallback when /proc is unmounted.
+  if (std::FILE* f = std::fopen("/proc/self/status", "r")) {
+    char line[256];
+    while (std::fgets(line, sizeof line, f) != nullptr) {
+      unsigned long long kb = 0;
+      if (std::sscanf(line, "VmHWM: %llu kB", &kb) == 1) {
+        bytes = static_cast<std::uint64_t>(kb) * 1024;
+        break;
+      }
+    }
+    std::fclose(f);
+  }
+  if (bytes == 0) {
+    struct rusage ru {};
+    if (getrusage(RUSAGE_SELF, &ru) == 0 && ru.ru_maxrss > 0)
+      bytes = static_cast<std::uint64_t>(ru.ru_maxrss) * 1024;
+  }
+#endif
+  if (bytes != 0) gauge_set("process.peak_rss_bytes", double(bytes));
+  return bytes;
 }
 
 }  // namespace mlvl::obs

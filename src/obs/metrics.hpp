@@ -47,8 +47,8 @@ struct HistogramData {
 /// lock, no lock is held while calling anything that takes another — see
 /// DESIGN.md §7.10). Install/uninstall are *not* synchronized against
 /// concurrent recording beyond the atomic pointer itself: install before
-/// spawning recorders, uninstall after joining them (the sampler and the
-/// engine both follow this).
+/// spawning recorders, uninstall after joining them (the engine follows
+/// this).
 class MetricsRegistry {
  public:
   MetricsRegistry() = default;
@@ -120,5 +120,10 @@ inline void histogram_record(std::string_view name, double value) {
   if (MetricsRegistry* r = detail::g_metrics.load(std::memory_order_relaxed))
     r->histogram_record(name, value);
 }
+
+/// Publish the process's peak resident set size (bytes) as the
+/// `process.peak_rss_bytes` gauge on the installed registry. Returns the
+/// value published, or 0 when the platform offers no way to read it.
+std::uint64_t publish_peak_rss();
 
 }  // namespace mlvl::obs

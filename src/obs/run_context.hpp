@@ -1,13 +1,13 @@
 // Process-wide run identity for the flight recorder.
 //
 // Every observability artifact a single process emits — Chrome trace,
-// metrics JSON/CSV, sampler series, sweep journal header, bench records,
-// run report — is stamped with one `run_id` so artifacts from the same run
-// can be correlated after the fact (and artifacts from interleaved CI lanes
-// can be told apart). The id is generated lazily on first use from the
-// wall clock and a per-process entropy mix ("run-<16 hex>"); the
-// `MLVL_RUN_ID` environment variable overrides it, and `set_run_id` lets
-// tests and tools pin a deterministic value.
+// metrics JSON/CSV, sweep journal header, bench records — is stamped with
+// one `run_id` so artifacts from the same run can be correlated after the
+// fact (and artifacts from interleaved CI lanes can be told apart). The
+// id is generated lazily on first use from the wall clock and a
+// per-process entropy mix ("run-<16 hex>"); the `MLVL_RUN_ID` environment
+// variable overrides it, and `set_run_id` lets tests and tools pin a
+// deterministic value.
 //
 // Like TraceSession::install, `set_run_id` is meant for process setup:
 // call it on the main thread before spawning worker threads that emit
@@ -37,8 +37,8 @@ struct RunContext {
 void set_run_id(std::string_view id);
 
 /// JSON string-body escaping shared by every emitter in the flight
-/// recorder (trace, sampler, profile, run report). Writes the escaped
-/// characters only — callers supply the surrounding quotes.
+/// recorder (trace, metrics, profile, bench env). Writes the escaped characters only —
+/// callers supply the surrounding quotes.
 void write_json_escaped(std::ostream& os, std::string_view s);
 
 }  // namespace mlvl::obs

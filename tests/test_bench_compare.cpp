@@ -1,22 +1,18 @@
 // The perf-trajectory toolchain: repeat-statistics math on known vectors,
 // the noise-aware bench-diff verdicts (regression / improvement /
-// within-noise / new key / missing key), the 0/1 exit mapping, malformed
-// input handling, and the metrics time-series sampler.
+// within-noise / new key / missing key), the 0/1 exit mapping and malformed
+// input handling.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/io.hpp"
 #include "obs/bench_compare.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/stats.hpp"
 
 namespace mlvl::obs {
@@ -362,47 +358,6 @@ TEST(BenchDiff, JsonReportRoundTrips) {
   rep.write_text(text, /*verbose=*/true);
   EXPECT_NE(text.str().find("regressed"), std::string::npos);
   EXPECT_NE(text.str().find("bench-diff: 1 regressed"), std::string::npos);
-}
-
-// -------------------------------------------------------- metrics sampler
-
-TEST(MetricsSampler, ProducesParseableSeriesWithSnapshots) {
-  MetricsRegistry registry;
-  registry.install();
-  MetricsSampler sampler;
-  sampler.start(registry, 10);
-  counter_add("test.work", 7);
-  std::this_thread::sleep_for(std::chrono::milliseconds(40));
-  gauge_set("test.level", 3.5);
-  sampler.stop();
-  MetricsRegistry::uninstall();
-
-  EXPECT_GE(sampler.snapshots(), 2u);  // t=0 plus the closing snapshot
-  std::ostringstream os;
-  sampler.write_json(os);
-  std::optional<io::JsonValue> doc = io::parse_json(os.str());
-  ASSERT_TRUE(doc.has_value()) << os.str();
-  EXPECT_EQ(doc->find("schema")->str, "mlvl-metrics-series-v1");
-  const io::JsonValue* snaps = doc->find("snapshots");
-  ASSERT_NE(snaps, nullptr);
-  ASSERT_GE(snaps->items.size(), 2u);
-  // Timestamps are monotone and the final snapshot carries the totals.
-  double prev = -1;
-  for (const io::JsonValue& s : snaps->items) {
-    EXPECT_GE(s.find("t_ms")->number, prev);
-    prev = s.find("t_ms")->number;
-  }
-  const io::JsonValue& last = snaps->items.back();
-  EXPECT_EQ(last.find("metrics")->find("counters")->find("test.work")->number,
-            7);
-  EXPECT_EQ(last.find("metrics")->find("gauges")->find("test.level")->number,
-            3.5);
-}
-
-TEST(MetricsSampler, StopWithoutStartIsSafe) {
-  MetricsSampler sampler;
-  sampler.stop();
-  EXPECT_EQ(sampler.snapshots(), 0u);
 }
 
 }  // namespace

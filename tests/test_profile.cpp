@@ -1,6 +1,6 @@
 // Flight recorder: profiler math on hand-built span sets (exclusive time
 // under nesting, critical path, per-thread utilization), the Chrome-trace
-// round trip, and the unified run report schema.
+// round trip.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -13,10 +13,8 @@
 #include "core/metrics.hpp"
 #include "core/multilayer.hpp"
 #include "layout/hypercube_layout.hpp"
-#include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 #include "obs/run_context.hpp"
-#include "obs/run_report.hpp"
 
 namespace {
 
@@ -267,71 +265,6 @@ TEST(Profile, JsonReportIsWellFormed) {
   std::ostringstream eos;
   empty.write_json(eos);
   EXPECT_TRUE(io::parse_json(eos.str()).has_value()) << eos.str();
-}
-
-TEST(RunReport, JsonMergesProfileMetricsAndSweepSections) {
-  obs::RunReport rep;
-  rep.run_id = "report-run";
-  rep.env = obs::capture_build_env();
-  rep.has_profile = true;
-  rep.profile =
-      obs::profile_events({ev("engine.sweep", 0, 50, 0)}, "report-run");
-
-  obs::MetricsRegistry reg;
-  reg.install();
-  obs::counter_add("engine.jobs.completed", 6);
-  obs::MetricsRegistry::uninstall();
-  std::ostringstream mos;
-  reg.write_json(mos);
-  rep.metrics_json = mos.str();
-
-  rep.sweep.present = true;
-  rep.sweep.jobs = 6;
-  rep.sweep.threads = 2;
-  rep.sweep.wall_ms = 12.5;
-  rep.sweep.busy_ms = 20.0;
-  rep.sweep.utilization = 0.8;
-  rep.sweep.verdicts = {{"ok", 5}, {"failed", 1}};
-  rep.sweep.cache_hits = 4;
-  rep.sweep.cache_misses = 2;
-  rep.sweep.job_deadline_ms = 3;
-  rep.sweep.sweep_deadline_ms = 64;
-
-  std::ostringstream os;
-  rep.write_json(os);
-  std::optional<io::JsonValue> root = io::parse_json(os.str());
-  ASSERT_TRUE(root.has_value()) << os.str();
-  EXPECT_EQ(root->find("schema")->str, "mlvl-run-report-v1");
-  EXPECT_EQ(root->find("run_id")->str, "report-run");
-  EXPECT_GT(root->find("env")->find("cores")->number, 0);
-  EXPECT_EQ(root->find("profile")->find("schema")->str, "mlvl-profile-v1");
-  EXPECT_EQ(root->find("metrics")
-                ->find("counters")
-                ->find("engine.jobs.completed")
-                ->number,
-            6);
-  const io::JsonValue* sweep = root->find("sweep");
-  ASSERT_NE(sweep, nullptr);
-  EXPECT_EQ(sweep->find("jobs")->number, 6);
-  EXPECT_EQ(sweep->find("verdicts")->find("ok")->number, 5);
-  EXPECT_EQ(sweep->find("cache")->find("hits")->number, 4);
-  EXPECT_EQ(sweep->find("governance")->find("job_deadline_ms")->number, 3);
-  EXPECT_EQ(sweep->find("governance")->find("sweep_deadline_ms")->number, 64);
-
-  std::ostringstream sum;
-  rep.write_summary(sum);
-  EXPECT_NE(sum.str().find("run report-run"), std::string::npos);
-  EXPECT_NE(sum.str().find("5 ok / 1 other"), std::string::npos);
-
-  // No profile / no metrics / no sweep: the nulls still parse.
-  obs::RunReport bare;
-  bare.run_id = "bare";
-  std::ostringstream bos;
-  bare.write_json(bos);
-  std::optional<io::JsonValue> broot = io::parse_json(bos.str());
-  ASSERT_TRUE(broot.has_value()) << bos.str();
-  EXPECT_EQ(broot->find("profile")->kind, io::JsonValue::Kind::kNull);
-  EXPECT_EQ(broot->find("sweep")->kind, io::JsonValue::Kind::kNull);
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Multi-thread hammer suite for every internally synchronized component:
 // MetricsRegistry counters/gauges/histograms, TraceSession span nesting
 // across threads, the sweep's build-once table under eight workers sharing
-// four specs, DiagnosticSink concurrent
-// reporting, the CancelToken latch tree, the SweepJournal writer, the
-// MetricsSampler shutdown handshake, and the annotated Mutex/CondVar
-// wrappers themselves.
+// four specs, DiagnosticSink concurrent reporting, the CancelToken latch
+// tree, the SweepJournal writer, and the annotated Mutex/CondVar wrappers
+// themselves.
 //
 // These tests assert *exact* post-join totals (relaxed atomics never lose
 // increments; mutexed maps never lose inserts) and monotonicity *during*
@@ -32,7 +31,6 @@
 #include "engine/sweep.hpp"
 #include "layout/hypercube_layout.hpp"
 #include "obs/metrics.hpp"
-#include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 
 namespace mlvl {
@@ -252,38 +250,6 @@ TEST(ThreadingJournal, ConcurrentRecordsAllLandIntact) {
   EXPECT_EQ(resume->malformed_lines, 0u);
   EXPECT_GT(resume->done.size(), 0u);
   std::remove(path.c_str());
-}
-
-// ------------------------------------------------------------ MetricsSampler
-
-TEST(ThreadingSampler, SamplesWhileHammeredAndStopsPromptly) {
-  obs::MetricsRegistry reg;
-  reg.install();
-  obs::MetricsSampler sampler;
-  sampler.start(reg, 1);
-  run_threads([&](unsigned) {
-    for (int i = 0; i < 1000; ++i) obs::counter_add("sampler.load");
-  });
-  sampler.stop();
-  obs::MetricsRegistry::uninstall();
-  EXPECT_FALSE(sampler.running());
-  // t=0 snapshot plus the closing one, at minimum.
-  EXPECT_GE(sampler.snapshots(), 2u);
-  EXPECT_EQ(reg.counter("sampler.load"), kThreads * 1000u);
-}
-
-TEST(ThreadingSampler, StopIsPromptForLongIntervals) {
-  obs::MetricsRegistry reg;
-  reg.install();
-  obs::MetricsSampler sampler;
-  sampler.start(reg, 60'000);  // one-minute interval
-  const auto t0 = std::chrono::steady_clock::now();
-  sampler.stop();  // the condvar handshake must not wait the interval out
-  const double ms = std::chrono::duration<double, std::milli>(
-                        std::chrono::steady_clock::now() - t0)
-                        .count();
-  obs::MetricsRegistry::uninstall();
-  EXPECT_LT(ms, 10'000.0);
 }
 
 // ------------------------------------------------------ Concurrent checkers
