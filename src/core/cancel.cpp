@@ -18,5 +18,10 @@ void poll_cancel_slow(const char* phase) {
   }
 }
 
+void poll_cancel_now(const char* phase) {
+  const CancelToken* token = tl_cancel;
+  if (token->tripped()) throw CancelledError(phase, token->reason());
+}
+
 }  // namespace detail
 }  // namespace mlvl

@@ -129,6 +129,8 @@ extern constinit thread_local const CancelToken* tl_cancel;
 inline constexpr std::uint32_t kPollStride = 256;
 /// Out-of-line slow path: stride bookkeeping + throw on a tripped token.
 void poll_cancel_slow(const char* phase);
+/// Out-of-line clock poll: throw on a tripped token.
+void poll_cancel_now(const char* phase);
 }  // namespace detail
 
 /// True iff a token is installed on this thread (the one-branch fast path).
@@ -150,6 +152,13 @@ void poll_cancel_slow(const char* phase);
 /// `phase` must be a string literal naming the phase span it sits in.
 inline void poll_cancellation(const char* phase) {
   if (detail::tl_cancel != nullptr) detail::poll_cancel_slow(phase);
+}
+
+/// Checkpoint for loops that poll once per block of work (a thousand lines
+/// or planes) rather than per item: those calls are too sparse for
+/// poll_cancellation's clock stride, so each one reads the clock.
+inline void poll_cancellation_block(const char* phase) {
+  if (detail::tl_cancel != nullptr) detail::poll_cancel_now(phase);
 }
 
 /// RAII thread-local installation of a token around one unit of work.

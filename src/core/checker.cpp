@@ -4,12 +4,13 @@
 //   1. Frame scan: coordinate-range gate, node-box bounds/duplicate/overlap
 //      checks, segment and via frame checks, reported in record order.
 //   2. Occupancy: horizontal runs, vertical runs and via columns are each
-//      sorted by grid line and swept in start order, merging an edge's own
-//      runs and catching overlaps with other edges. Kinds meet only where
-//      they cross, found per plane (layer, y-plane, x-plane). A sweep per
-//      box layer meets every claim with the registered node boxes
-//      (terminal theft). Each colliding edge pair is reported once, at its
-//      lowest shared point.
+//      radix-sorted by grid line, then met in two ordered walks: over the
+//      y-planes (horizontal runs and via columns) and over the x-planes
+//      (vertical runs, and the via columns regrouped by x). Per plane, the
+//      runs meet the registered node boxes (terminal theft), merge along
+//      their lines (an edge's own runs join, other edges' overlaps are
+//      collisions) and cross the other kind. Each colliding edge pair is
+//      reported once, at its lowest shared point.
 //   3. Connectivity: an edge whose runs the crossings already joined is
 //      connected; any other edge runs a union-find over its records,
 //      joining two records whose point boxes touch or are 6-adjacent.
@@ -53,48 +54,104 @@ Diagnostic at_point(std::uint32_t x, std::uint32_t y, std::uint32_t z,
   return d;
 }
 
-/// Stable LSD radix sort by a 64-bit key, 11 bits a pass, using `tmp` as
-/// the second buffer (the two may trade storage). Passes start at the
-/// lowest key bit that still varies, so keys whose fields leave gaps take no
-/// pass over the gaps. Small inputs are insertion-sorted, which is stable
-/// too.
+/// Widest radix digit: 2^11 four-byte counters fit in L1.
+constexpr unsigned kDigitBits = 11;
+/// Inputs shorter than this are insertion-sorted, which is stable too.
+constexpr std::size_t kInsertionSort = 64;
+
+/// The digits an LSD radix sort passes over, and their histograms. Whoever
+/// produces the keys can count them as it goes (`add`), which spares the
+/// sort a counting pass over its input.
+struct Digits {
+  static constexpr unsigned kMaxPasses = 6;  // 64 bits at kDigitBits each
+  unsigned bits = 0;                         ///< per digit
+  unsigned passes = 0;
+  std::array<unsigned, kMaxPasses> shift{};
+  std::vector<std::uint32_t> count;  ///< passes x 2^bits
+
+  /// Keys of `key_bits` bits, cut into the fewest digits of at most
+  /// kDigitBits, all of one width.
+  void reset(unsigned key_bits) {
+    passes = (key_bits + kDigitBits - 1) / kDigitBits;
+    bits = passes == 0 ? 0 : (key_bits + passes - 1) / passes;
+    for (unsigned p = 0; p < passes; ++p) shift[p] = p * bits;
+    count.assign(std::size_t{passes} << bits, 0);
+  }
+  [[nodiscard]] std::uint32_t digit(std::uint64_t k, unsigned p) const {
+    return static_cast<std::uint32_t>(k >> shift[p]) & ((1u << bits) - 1);
+  }
+  /// Counts key `k`, for digits of one width (as `reset` cuts them).
+  void add(std::uint64_t k) {
+    // Locals: the counters could alias the fields as far as the compiler
+    // knows, which would reload them after every increment.
+    const unsigned b = bits;
+    const std::uint64_t mask = (std::uint64_t{1} << b) - 1;
+    std::uint32_t* c = count.data();
+    for (unsigned p = 0, n = passes; p < n; ++p, k >>= b, c += mask + 1)
+      ++c[k & mask];
+  }
+};
+
+template <typename T, typename KeyFn>
+void insertion_sort(std::vector<T>& v, KeyFn key) {
+  for (std::size_t i = 1; i < v.size(); ++i) {
+    const T t = v[i];
+    const std::uint64_t k = key(t);
+    std::size_t j = i;
+    for (; j > 0 && key(v[j - 1]) > k; --j) v[j] = v[j - 1];
+    v[j] = t;
+  }
+}
+
+/// Sorts `v` stably by `key`, one scatter pass per digit of `d`, whose
+/// histograms must be those of v's keys; `tmp` is the second buffer (the
+/// two may trade storage). A digit every key shares moves nothing and is
+/// skipped.
+template <typename T, typename KeyFn>
+void radix_passes(std::vector<T>& v, KeyFn key, Digits& d,
+                  std::vector<T>& tmp) {
+  if (v.empty()) return;
+  tmp.resize(v.size());
+  const std::size_t buckets = std::size_t{1} << d.bits;
+  const std::uint64_t mask = buckets - 1;
+  for (unsigned p = 0; p < d.passes; ++p) {
+    std::uint32_t* c = &d.count[p * buckets];
+    const unsigned sh = d.shift[p];
+    const KeyFn k = key;  // a local: the counters cannot alias it
+    if (c[(k(v.front()) >> sh) & mask] == v.size()) continue;
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) sum += std::exchange(c[b], sum);
+    for (const T& t : v) tmp[c[(k(t) >> sh) & mask]++] = t;
+    v.swap(tmp);
+  }
+}
+
+/// Stable LSD radix sort by a 64-bit key, kDigitBits a pass, using `tmp`
+/// as the second buffer. Passes start at the lowest key bit that still
+/// varies, so keys whose fields leave gaps take no pass over the gaps.
 template <typename T, typename KeyFn>
 void radix_sort(std::vector<T>& v, KeyFn key, std::vector<T>& tmp) {
-  if (v.size() < 64) {
-    for (std::size_t i = 1; i < v.size(); ++i) {
-      const T t = v[i];
-      const std::uint64_t k = key(t);
-      std::size_t j = i;
-      for (; j > 0 && key(v[j - 1]) > k; --j) v[j] = v[j - 1];
-      v[j] = t;
-    }
+  if (v.size() < kInsertionSort) {
+    insertion_sort(v, key);
     return;
   }
-  constexpr unsigned kBits = 11;
-  constexpr std::size_t kBuckets = std::size_t{1} << kBits;
+  Digits d;
+  d.bits = kDigitBits;
   std::uint64_t vary = 0;
   const std::uint64_t k0 = key(v.front());
   for (const T& t : v) vary |= key(t) ^ k0;
-  std::vector<unsigned> shifts;
   while (vary != 0) {
     const auto sh = static_cast<unsigned>(std::countr_zero(vary));
-    shifts.push_back(sh);
-    vary &= ~((kBuckets - 1) << sh);
+    d.shift[d.passes++] = sh;
+    vary &= ~(((std::uint64_t{1} << kDigitBits) - 1) << sh);
   }
-  std::vector<std::uint32_t> count(shifts.size() * kBuckets, 0);
+  d.count.assign(std::size_t{d.passes} << d.bits, 0);
   for (const T& t : v) {
     const std::uint64_t k = key(t);
-    for (std::size_t p = 0; p < shifts.size(); ++p)
-      ++count[p * kBuckets + ((k >> shifts[p]) & (kBuckets - 1))];
+    for (unsigned p = 0; p < d.passes; ++p)
+      ++d.count[(std::size_t{p} << d.bits) + d.digit(k, p)];
   }
-  tmp.resize(v.size());
-  for (std::size_t p = 0; p < shifts.size(); ++p) {
-    std::uint32_t* c = &count[p * kBuckets];
-    std::uint32_t sum = 0;
-    for (std::size_t b = 0; b < kBuckets; ++b) sum += std::exchange(c[b], sum);
-    for (const T& t : v) tmp[c[(key(t) >> shifts[p]) & (kBuckets - 1)]++] = t;
-    v.swap(tmp);
-  }
+  radix_passes(v, key, d, tmp);
 }
 
 template <typename T, typename KeyFn>
@@ -396,6 +453,9 @@ struct Dsu {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
+/// The walks poll for cancellation once per this many planes.
+constexpr std::size_t kPollPlanes = 1024;
+
 /// A claimed interval [lo, hi] on one grid line. `key` packs
 /// key3(lo, line, group), so sorting by it groups runs by line in start
 /// order. What group, line and lo mean depends on the run's Axis.
@@ -433,10 +493,41 @@ std::uint64_t point_key(Axis a, std::uint32_t group, std::uint32_t line,
   return key3(line, group, pos);
 }
 
+/// A run's (group, line, lo) packed into only the bits the grid's extent
+/// needs, each field less its least possible value. The order is key3's,
+/// in fewer radix digits: three small fields share two digits where key3's
+/// 20-bit fields take a digit each.
+struct DenseKey {
+  std::uint32_t line_min, lo_min;
+  unsigned line_bits, lo_bits, bits;
 
+  DenseKey(std::uint32_t group_max, std::uint32_t line_min,
+           std::uint32_t line_max, std::uint32_t lo_min, std::uint32_t lo_max)
+      : line_min(line_min),
+        lo_min(lo_min),
+        line_bits(std::bit_width(line_max - line_min)),
+        lo_bits(std::bit_width(lo_max - lo_min)),
+        bits(std::bit_width(group_max) + line_bits + lo_bits) {}
 
-void sort_runs(std::vector<Run>& runs, std::vector<Run>& tmp) {
-  radix_sort(runs, [](const Run& r) { return r.key; }, tmp);
+  [[nodiscard]] std::uint64_t operator()(std::uint32_t group,
+                                         std::uint32_t line,
+                                         std::uint32_t lo) const {
+    return (std::uint64_t{group} << line_bits | (line - line_min))
+               << lo_bits |
+           (lo - lo_min);
+  }
+  [[nodiscard]] std::uint64_t operator()(const Run& r) const {
+    return (*this)(r.group(), r.line(), r.lo());
+  }
+};
+
+/// Sorts runs by key, with digit histograms `d` counted over `dense`.
+void sort_runs(std::vector<Run>& runs, DenseKey dense, Digits& d,
+               std::vector<Run>& tmp) {
+  if (runs.size() < kInsertionSort)
+    insertion_sort(runs, [](const Run& r) { return r.key; });
+  else
+    radix_passes(runs, dense, d, tmp);
 }
 
 /// A grid point two different edges both claim (a < b), as key3(x, y, z).
@@ -449,23 +540,34 @@ Hit hit_at(std::uint64_t at, EdgeId e1, EdgeId e2) {
   return {at, std::min(e1, e2), std::max(e1, e2)};
 }
 
-/// Sweeps the lines of `runs` (sorted by key) in start order, merging in
-/// place: an edge's own overlapping runs become one, so the distinct claims
-/// of a line are its merged lengths; an overlap with another edge's run is a
-/// hit at the later run's start, added to `hits`. Every active run contains
-/// that start, so the work is the runs plus the overlaps reported. `runs`
-/// is left holding the merged runs, still sorted.
-void sweep_lines(std::vector<Run>& runs, Axis axis, std::vector<Hit>& hits) {
-  std::vector<std::size_t> active;  // merged runs on the current line
+/// End of the plane that starts at runs[b]: the runs of group `g`, if
+/// runs[b] has it.
+std::size_t plane_end(const std::vector<Run>& runs, std::size_t b,
+                      std::uint32_t g) {
+  while (b < runs.size() && runs[b].group() == g) ++b;
+  return b;
+}
+
+std::uint32_t group_at(const std::vector<Run>& runs, std::size_t i) {
+  return i < runs.size() ? runs[i].group() : ~std::uint32_t{0};
+}
+
+/// Sweeps the lines of one plane, runs[b, e) (sorted by key), in start
+/// order, writing the merged runs from runs[kept] on (kept <= b): an
+/// edge's own overlapping runs become one, so the distinct claims of a line
+/// are its merged lengths; an overlap with another edge's run is a hit at
+/// the later run's start, added to `hits`. Every active run contains that
+/// start, so the work is the runs plus the overlaps reported.
+void merge_lines(std::vector<Run>& runs, std::size_t b, std::size_t e,
+                 Axis axis, std::size_t& kept,
+                 std::vector<std::size_t>& active, std::vector<Hit>& hits) {
   std::uint64_t line = ~std::uint64_t{0};
-  std::size_t kept = 0;
-  for (std::size_t k = 0; k < runs.size(); ++k) {
+  for (std::size_t k = b; k < e; ++k) {
     const Run r = runs[k];
     if (r.line_key() != line) {
-      poll_cancellation("check");
       line = r.line_key();
-      active.clear();
-      if (k + 1 == runs.size() || runs[k + 1].line_key() != line) {
+      active.clear();  // merged runs on the current line
+      if (k + 1 == e || runs[k + 1].line_key() != line) {
         runs[kept++] = r;  // alone on its line
         continue;
       }
@@ -487,7 +589,6 @@ void sweep_lines(std::vector<Run>& runs, Axis axis, std::vector<Hit>& hits) {
       runs[kept++] = r;
     }
   }
-  runs.resize(kept);
 }
 
 /// Runs regrouped with group and line swapped (e.g. via columns from
@@ -497,6 +598,11 @@ struct Regrouped {
   std::vector<Run> runs;
   std::vector<std::uint32_t> from;
 };
+
+/// Run `r` with its group and line swapped.
+Run swapped(const Run& r) {
+  return {key3(r.lo(), r.group(), r.line()), r.hi, r.edge};
+}
 
 /// The runs of sorted `src` that `keep` accepts, regrouped into `out`
 /// (whose storage is reused). The source order is already (line, group, lo)
@@ -510,9 +616,41 @@ void regroup(const std::vector<Run>& src, Keep keep, Regrouped& out) {
   radix_sort(out.from,
              [&](std::uint32_t i) { return std::uint64_t{src[i].line()}; });
   out.runs.reserve(out.from.size());
-  for (std::uint32_t i : out.from)
-    out.runs.push_back({key3(src[i].lo(), src[i].group(), src[i].line()),
-                        src[i].hi, src[i].edge});
+  for (std::uint32_t i : out.from) out.runs.push_back(swapped(src[i]));
+}
+
+/// All of sorted `src` regrouped into `out` by the old line alone, whose
+/// digit histograms `d` the caller counted. Each pass reads its input in
+/// order; the first swaps group and line on the way, and the last lands in
+/// `out`. `tmp` is the second buffer.
+void regroup_counted(const std::vector<Run>& src, Digits& d, Regrouped& out,
+                     Regrouped& tmp) {
+  const std::size_t n = src.size();
+  out.runs.resize(n);
+  out.from.resize(n);
+  if (d.passes == 0) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out.runs[i] = swapped(src[i]);
+      out.from[i] = static_cast<std::uint32_t>(i);
+    }
+    return;
+  }
+  tmp.runs.resize(n);
+  tmp.from.resize(n);
+  const std::size_t buckets = std::size_t{1} << d.bits;
+  for (unsigned p = 0; p < d.passes; ++p) {
+    Regrouped& dst = (d.passes - 1 - p) % 2 == 0 ? out : tmp;
+    const Regrouped& in = &dst == &out ? tmp : out;
+    std::uint32_t* c = &d.count[p * buckets];
+    std::uint32_t sum = 0;
+    for (std::size_t b = 0; b < buckets; ++b) sum += std::exchange(c[b], sum);
+    for (std::size_t i = 0; i < n; ++i) {
+      const Run r = p == 0 ? swapped(src[i]) : in.runs[i];
+      const std::uint32_t j = c[d.digit(r.group(), p)]++;
+      dst.runs[j] = r;
+      dst.from[j] = p == 0 ? static_cast<std::uint32_t>(i) : in.from[i];
+    }
+  }
 }
 
 /// Bitset over slots with a summary word per 64 words, so finding the next
@@ -579,13 +717,13 @@ std::uint64_t plane_key(Plane p, std::uint32_t plane, std::uint32_t row,
 struct CrossScratch {
   std::vector<std::uint32_t> pos;
   std::vector<std::uint64_t> by_lo;  ///< (first row, column) packed
-  std::vector<std::uint32_t> row_of, line_start, next, one;
+  std::vector<std::uint32_t> row_of, line_start, next, one, rank;
   std::vector<std::vector<std::uint32_t>> open;
   SlotSet active;
 };
 
-/// Ids of one run array's runs in the merged-run numbering shared by the
-/// three kinds: base + (from ? from[i] : i).
+/// Ids of one run array's runs in the union-find over all runs:
+/// base + (from ? from[i] : i).
 struct RunIds {
   const std::uint32_t* from = nullptr;
   std::uint32_t base = 0;
@@ -594,23 +732,22 @@ struct RunIds {
   }
 };
 
-/// One crossing sweep's setup: the plane kind, and whether to keep the
-/// points and the run pairs of same-edge crossings.
+/// One crossing sweep's setup: the plane kind, whether to keep the points
+/// of same-edge crossings, and the union-find (if any) that joins the two
+/// runs of each.
 struct CrossSpec {
   Plane plane;
   bool keep_points = false;
-  bool keep_joins = false;
+  Dsu* joins = nullptr;
   RunIds row_ids, col_ids;
 };
 
 /// What crossing sweeps find besides hits: same-edge crossings (each one
-/// point both runs counted), and when asked their points and the pairs of
-/// runs they join.
+/// point both runs counted), and when asked their points.
 struct CrossOut {
   std::vector<Hit> hits;
   std::uint64_t same = 0;
   std::vector<std::pair<std::uint64_t, EdgeId>> points;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> joins;
 };
 
 /// Crossings of one plane's merged runs: rows[r0, r1) lie on a row (line)
@@ -643,8 +780,19 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
     }
     ++out.same;
     if (spec.keep_points) out.points.emplace_back(at, r.edge);
-    if (spec.keep_joins)
-      out.joins.emplace_back(spec.row_ids[r0 + k], spec.col_ids[c0 + i]);
+    if (spec.joins != nullptr)
+      spec.joins->unite(spec.row_ids[r0 + k], spec.col_ids[c0 + i]);
+  };
+  // Drops the open rows that end before column c and crosses the rest.
+  auto cross_open = [&](std::vector<std::uint32_t>& open, std::size_t c) {
+    const std::uint32_t pos = cols[c].line();
+    std::size_t kept = 0;
+    for (const std::uint32_t k : open)
+      if (rows[k].hi >= pos) {
+        open[kept++] = k;
+        cross(k, c);
+      }
+    open.resize(kept);
   };
   if (rows.front().line() == rows.back().line()) {  // one row line
     const std::uint32_t row = rows.front().line();
@@ -656,8 +804,7 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
       const std::uint32_t pos = cols[c].line();
       for (; next < rows.size() && rows[next].lo() <= pos; ++next)
         open.push_back(static_cast<std::uint32_t>(next));
-      std::erase_if(open, [&](std::uint32_t k) { return rows[k].hi < pos; });
-      for (std::uint32_t k : open) cross(k, c);
+      cross_open(open, c);
     }
     return;
   }
@@ -669,12 +816,32 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
       sc.line_start.push_back(static_cast<std::uint32_t>(i));
     }
   sc.line_start.push_back(static_cast<std::uint32_t>(rows.size()));
-  auto spanned = [&](const Run& c) {
-    return std::pair(
-        std::lower_bound(sc.row_of.begin(), sc.row_of.end(), c.lo()) -
-            sc.row_of.begin(),
-        std::upper_bound(sc.row_of.begin(), sc.row_of.end(), c.hi) -
-            sc.row_of.begin());
+  // The row lines a column spans, [l0, l1) in row_of. Where the row lines
+  // are few values apart (layers, as in the wire-via planes), a table of
+  // ranks answers in O(1): rank[v - first] counts the row lines below v.
+  const std::uint32_t first = sc.row_of.front(), last = sc.row_of.back();
+  const bool ranked = last - first <= rows.size() + cols.size();
+  if (ranked) {
+    sc.rank.resize(last - first + 2);
+    const auto lines = static_cast<std::uint32_t>(sc.row_of.size());
+    for (std::uint32_t v = first, l = 0; v <= last + 1; ++v) {
+      while (l < lines && sc.row_of[l] < v) ++l;
+      sc.rank[v - first] = l;
+    }
+  }
+  auto spanned = [&](const Run& c) -> std::pair<std::size_t, std::size_t> {
+    if (ranked) {
+      const std::uint32_t lo = std::max(c.lo(), first);
+      const std::uint32_t hi = std::min(c.hi, last);
+      if (lo > hi) return {0, 0};
+      return {sc.rank[lo - first], sc.rank[hi + 1 - first]};
+    }
+    return {static_cast<std::size_t>(
+                std::lower_bound(sc.row_of.begin(), sc.row_of.end(), c.lo()) -
+                sc.row_of.begin()),
+            static_cast<std::size_t>(
+                std::upper_bound(sc.row_of.begin(), sc.row_of.end(), c.hi) -
+                sc.row_of.begin())};
   };
   const std::size_t budget = 4 * (rows.size() + cols.size());
   std::size_t visits = sc.row_of.size() * cols.size();  // at most
@@ -682,7 +849,7 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
     visits = 0;
     for (const Run& c : cols) {
       const auto [l0, l1] = spanned(c);
-      visits += static_cast<std::size_t>(l1 - l0);
+      visits += l1 - l0;
     }
   }
   if (visits <= budget) {
@@ -693,15 +860,13 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
     for (std::size_t c = 0; c < cols.size(); ++c) {
       const std::uint32_t pos = cols[c].line();
       const auto [l0, l1] = spanned(cols[c]);
-      for (auto l = static_cast<std::size_t>(l0);
-           l < static_cast<std::size_t>(l1); ++l) {
+      for (std::size_t l = l0; l < l1; ++l) {
         std::vector<std::uint32_t>& open = sc.open[l];
         for (; sc.next[l] < sc.line_start[l + 1] &&
                rows[sc.next[l]].lo() <= pos;
              ++sc.next[l])
           open.push_back(sc.next[l]);
-        std::erase_if(open, [&](std::uint32_t k) { return rows[k].hi < pos; });
-        for (std::uint32_t k : open) cross(k, c);
+        cross_open(open, c);
       }
     }
     return;
@@ -734,39 +899,26 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
   }
 }
 
-/// Index ranges of equal group in runs sorted by key.
-std::vector<std::pair<std::size_t, std::size_t>> group_ranges(
-    const std::vector<Run>& runs) {
-  std::vector<std::pair<std::size_t, std::size_t>> out;
-  for (std::size_t i = 0; i < runs.size();) {
-    std::size_t j = i;
-    while (j < runs.size() && runs[j].group() == runs[i].group()) ++j;
-    out.emplace_back(i, j);
-    i = j;
-  }
-  return out;
-}
-
 /// All crossings of `rows` with `cols` (both sorted by key, grouped by
 /// plane), appended to `out` in plane order.
 void cross_planes(const std::vector<Run>& rows, const std::vector<Run>& cols,
                   const CrossSpec& spec, CrossOut& out) {
-  const auto rg = group_ranges(rows);
-  const auto cg = group_ranges(cols);
   CrossScratch sc;
-  for (std::size_t i = 0, j = 0; i < rg.size() && j < cg.size();) {
-    const std::uint32_t a = rows[rg[i].first].group();
-    const std::uint32_t b = cols[cg[j].first].group();
+  std::size_t planes = 0;
+  for (std::size_t i = 0, j = 0; i < rows.size() && j < cols.size();) {
+    const std::uint32_t a = rows[i].group();
+    const std::uint32_t b = cols[j].group();
     if (a < b) {
-      ++i;
+      i = plane_end(rows, i, a);
     } else if (b < a) {
-      ++j;
+      j = plane_end(cols, j, b);
     } else {
-      poll_cancellation("check");
-      sweep_crossings(rows, rg[i].first, rg[i].second, cols, cg[j].first,
-                      cg[j].second, spec, sc, out);
-      ++i;
-      ++j;
+      if (planes++ % kPollPlanes == 0) poll_cancellation_block("check");
+      const std::size_t i1 = plane_end(rows, i, a);
+      const std::size_t j1 = plane_end(cols, j, b);
+      sweep_crossings(rows, i, i1, cols, j, j1, spec, sc, out);
+      i = i1;
+      j = j1;
     }
   }
 }
@@ -778,55 +930,63 @@ struct Rect {
   std::uint32_t box;
 };
 
-/// Sweep over one layer's lines: boxes enter at their first line and leave
-/// after their last, and each claim (a run, on line `line()`) meets the
-/// active boxes whose span overlaps its own. Active boxes are kept in span
-/// order. When the boxes are pairwise disjoint, the spans active on one line
-/// are too, so a query visits only the boxes it meets.
-template <typename Fn>
-void sweep_boxes(std::span<const Run> claims, std::span<const Rect> rects,
-                 bool disjoint, Fn&& meet) {
-  std::vector<std::uint32_t> by_end(rects.size());
-  std::iota(by_end.begin(), by_end.end(), 0u);
-  radix_sort(by_end, [&](std::uint32_t i) { return rects[i].s_hi; });
+/// One box layer's boxes swept line by line: boxes enter at their first
+/// line and leave after their last, and a claim (an interval on the current
+/// line) meets the active boxes whose span overlaps its own. Active boxes
+/// are kept in span order. When the boxes are pairwise disjoint, the spans
+/// active on one line are too, so a cursor that moves forward through the
+/// claims (given in start order) visits only the boxes a claim meets.
+class BoxSweep {
+ public:
+  BoxSweep(std::span<const Rect> rects, bool disjoint)
+      : rects_(rects), disjoint_(disjoint), by_end_(rects.size()) {
+    std::iota(by_end_.begin(), by_end_.end(), 0u);
+    radix_sort(by_end_, [&](std::uint32_t i) { return rects_[i].s_hi; });
+  }
+
+  /// Moves on to line `s` (lines only ever grow) and rewinds the cursor.
+  /// True iff some box covers the line.
+  bool advance(std::uint32_t s) {
+    for (; entered_ < rects_.size() && rects_[entered_].s_lo <= s;
+         ++entered_) {
+      const Active a{rects_[entered_].lo, rects_[entered_].hi,
+                     static_cast<std::uint32_t>(entered_)};
+      active_.insert(std::upper_bound(active_.begin(), active_.end(), a), a);
+    }
+    if (left_ < by_end_.size() && rects_[by_end_[left_]].s_hi < s) {
+      // A row of boxes tends to end on one line: drop them in one pass.
+      while (left_ < by_end_.size() && rects_[by_end_[left_]].s_hi < s)
+        ++left_;
+      std::erase_if(active_, [&](const Active& a) {
+        return rects_[a.rect].s_hi < s;
+      });
+    }
+    cursor_ = 0;
+    return !active_.empty();
+  }
+  /// Starts a new run of claims in start order on the current line.
+  void rewind() { cursor_ = 0; }
+
+  template <typename Fn>
+  void meet(std::uint32_t lo, std::uint32_t hi, Fn&& fn) {
+    if (disjoint_)
+      while (cursor_ < active_.size() && active_[cursor_].hi < lo) ++cursor_;
+    for (std::size_t i = cursor_; i < active_.size() && active_[i].lo <= hi;
+         ++i)
+      if (active_[i].hi >= lo) fn(rects_[active_[i].rect]);
+  }
+
+ private:
   struct Active {
     std::uint32_t lo, hi, rect;
     auto operator<=>(const Active&) const = default;
   };
-  std::vector<Active> active;  // sorted by (lo, rect)
-  std::size_t entered = 0, left = 0;
-  std::size_t cursor = 0;
-  std::uint64_t version = 0, cursor_version = 0;  // bumped on every edit
-  std::uint32_t cursor_line = 0;
-  for (const Run& c : claims) {
-    const std::uint32_t s = c.line();
-    for (; entered < rects.size() && rects[entered].s_lo <= s; ++entered) {
-      const Active a{rects[entered].lo, rects[entered].hi,
-                     static_cast<std::uint32_t>(entered)};
-      active.insert(std::upper_bound(active.begin(), active.end(), a), a);
-      ++version;
-    }
-    for (; left < by_end.size() && rects[by_end[left]].s_hi < s; ++left) {
-      const Rect& r = rects[by_end[left]];
-      active.erase(std::lower_bound(active.begin(), active.end(),
-                                    Active{r.lo, r.hi, by_end[left]}));
-      ++version;
-    }
-    // Disjoint spans end in start order: skip to the first box ending at or
-    // after the claim's start, moving forward along one line (its claims
-    // come in start order). Otherwise every box is a candidate.
-    if (s != cursor_line || version != cursor_version) {
-      cursor_line = s;
-      cursor_version = version;
-      cursor = 0;
-    }
-    if (disjoint)
-      while (cursor < active.size() && active[cursor].hi < c.lo()) ++cursor;
-    for (std::size_t i = cursor; i < active.size() && active[i].lo <= c.hi;
-         ++i)
-      if (active[i].hi >= c.lo()) meet(c, rects[active[i].rect]);
-  }
-}
+  std::span<const Rect> rects_;  ///< sorted by first line
+  bool disjoint_;
+  std::vector<std::uint32_t> by_end_;
+  std::vector<Active> active_;  ///< sorted by (lo, rect)
+  std::size_t entered_ = 0, left_ = 0, cursor_ = 0;
+};
 
 /// One finding of the occupancy phase; sorted by (point, edge, edge2).
 struct Finding {
@@ -834,6 +994,109 @@ struct Finding {
   EdgeId edge, edge2;
   Code code;
   NodeId node;
+};
+
+/// Terminal theft: each record's claim on a box layer against the
+/// registered boxes there, swept along rows (y) for horizontal runs and via
+/// points and along columns (x) for vertical runs. The walks hand over
+/// each plane's runs before merging them, so the claims are the records',
+/// one per record and box layer, and each (record, foreign box) pair meets
+/// once. Thefts go to `found`; `touches` marks which endpoint boxes each
+/// edge's claims meet.
+class TheftSweeps {
+ public:
+  TheftSweeps(const Graph& g, const LayoutGeometry& geom,
+              const FrameResult& fr, std::vector<Finding>& found,
+              std::vector<std::uint8_t>& touches)
+      : g_(g),
+        geom_(geom),
+        found_(found),
+        touches_(touches),
+        first_(geom.num_layers + std::size_t{1}, 0) {
+    for (std::uint32_t bi : fr.by_row) {  // rows come sorted by the frame
+      const NodeBox& b = geom.boxes[bi];
+      rects_[0].push_back(
+          {b.layer, b.y, b.y + b.h - 1, b.x, b.x + b.w - 1, bi});
+      rects_[1].push_back(
+          {b.layer, b.x, b.x + b.w - 1, b.y, b.y + b.h - 1, bi});
+    }
+    radix_sort(rects_[1], [](const Rect& r) {
+      return std::uint64_t{r.z} << 32 | r.s_lo;
+    });
+    for (std::size_t a = 0; a < 2; ++a) {
+      const std::span<const Rect> all(rects_[a]);
+      for (std::size_t i = 0, j = 0; i < all.size(); i = j) {
+        while (j < all.size() && all[j].z == all[i].z) ++j;
+        sweeps_[a].emplace_back(all.subspan(i, j - i), !fr.boxes_overlap);
+        if (a == 0) layers_.push_back(all[i].z);
+      }
+    }
+    for (std::size_t z = 0, k = 0; z < first_.size(); ++z) {
+      while (k < layers_.size() && layers_[k] < z) ++k;
+      first_[z] = static_cast<std::uint32_t>(k);
+    }
+  }
+  TheftSweeps(const TheftSweeps&) = delete;
+  TheftSweeps& operator=(const TheftSweeps&) = delete;
+
+  /// The unmerged horizontal runs and via columns of y-plane `y`.
+  void row(std::uint32_t y, std::span<const Run> hs, std::span<const Run> zs) {
+    if (!advance(0, y)) return;
+    for (const Run& r : hs)  // by layer, then x
+      if (const std::size_t k = box_layer(r.line()); k != kNpos)
+        claim(0, k, r.lo(), r.hi, r.edge, y);
+    for (BoxSweep& s : sweeps_[0]) s.rewind();
+    for (const Run& r : zs)  // by x: per layer, in x order too
+      for (std::size_t k = first_[r.lo()];
+           k < layers_.size() && layers_[k] <= r.hi; ++k)
+        claim(0, k, r.line(), r.line(), r.edge, y);
+  }
+
+  /// The unmerged vertical runs of x-plane `x`.
+  void column(std::uint32_t x, std::span<const Run> vs) {
+    if (!advance(1, x)) return;
+    for (const Run& r : vs)
+      if (const std::size_t k = box_layer(r.line()); k != kNpos)
+        claim(1, k, r.lo(), r.hi, r.edge, x);
+  }
+
+ private:
+  /// Index of `layer` in layers_, or kNpos if it holds no box.
+  [[nodiscard]] std::size_t box_layer(std::uint32_t layer) const {
+    const std::size_t k = first_[layer];
+    return k < layers_.size() && layers_[k] == layer ? k : kNpos;
+  }
+
+  bool advance(std::size_t axis, std::uint32_t line) {
+    bool any = false;
+    for (BoxSweep& s : sweeps_[axis]) any |= s.advance(line);
+    return any;
+  }
+
+  void claim(std::size_t axis, std::size_t k, std::uint32_t lo,
+             std::uint32_t hi, EdgeId e, std::uint32_t line) {
+    sweeps_[axis][k].meet(lo, hi, [&](const Rect& r) {
+      const NodeId node = geom_.boxes[r.box].node;
+      const Edge& ed = g_.edge(e);
+      if (node == ed.u || node == ed.v) {
+        touches_[e] |= (node == ed.u ? 1 : 0) | (node == ed.v ? 2 : 0);
+        return;
+      }
+      const std::uint32_t across = std::max(lo, r.lo);
+      found_.push_back({axis == 0 ? key3(across, line, r.z)
+                                  : key3(line, across, r.z),
+                        e, kNoId, Code::kTerminalTheft, node});
+    });
+  }
+
+  const Graph& g_;
+  const LayoutGeometry& geom_;
+  std::vector<Finding>& found_;
+  std::vector<std::uint8_t>& touches_;
+  std::array<std::vector<Rect>, 2> rects_;  ///< [0] rows, [1] columns
+  std::vector<std::uint32_t> layers_;       ///< the box layers, ascending
+  std::vector<std::uint32_t> first_;  ///< layer -> first box layer at or above
+  std::array<std::vector<BoxSweep>, 2> sweeps_;  ///< per axis and box layer
 };
 
 struct Occupancy {
@@ -850,117 +1113,11 @@ struct Occupancy {
   std::vector<std::uint8_t> touches;
 };
 
-/// Terminal theft: each record's claim on a box layer against the
-/// registered boxes there — rows swept for horizontal runs and via points,
-/// columns for vertical runs. The unmerged runs (sorted by key) are the
-/// records' claims, one per record and box layer, so each (record, foreign
-/// box) pair meets once. Appends to `found`, and marks in `touches` which
-/// endpoint boxes each edge's claims meet.
-void find_thefts(const Graph& g, const LayoutGeometry& geom,
-                 const FrameResult& fr, const std::vector<Run>& hs,
-                 const std::vector<Run>& vs, const std::vector<Run>& zs,
-                 std::vector<Finding>& found,
-                 std::vector<std::uint8_t>& touches,
-                 std::vector<Run>& scratch) {
-  std::array<std::vector<Rect>, 2> rects;  // [0] rows, [1] columns
-  std::vector<std::uint32_t> box_layers;
-  std::vector<std::uint32_t> slot(geom.num_layers + std::size_t{1}, 0);
-  for (std::uint32_t bi : fr.by_row) {  // rows come sorted by the frame
-    const NodeBox& b = geom.boxes[bi];
-    rects[0].push_back({b.layer, b.y, b.y + b.h - 1, b.x, b.x + b.w - 1, bi});
-    rects[1].push_back({b.layer, b.x, b.x + b.w - 1, b.y, b.y + b.h - 1, bi});
-    if (slot[b.layer] == 0) {
-      box_layers.push_back(b.layer);
-      slot[b.layer] = 1;
-    }
-  }
-  radix_sort(rects[1], [](const Rect& r) {
-    return std::uint64_t{r.z} << 32 | r.s_lo;
-  });
-  std::sort(box_layers.begin(), box_layers.end());
-  for (std::size_t i = 0; i < box_layers.size(); ++i)
-    slot[box_layers[i]] = static_cast<std::uint32_t>(i + 1);
-  // Claims per box layer, as runs on the sweep lines: (y, x) rows for
-  // horizontal runs and via points, (x, y) columns for vertical runs. The
-  // sorted kinds filter into that order (rows merge the two), dropping
-  // claims on lines no box of the layer covers: each kind meets its lines
-  // in ascending order, so one cursor per layer and axis tests coverage.
-  struct Cover {
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> spans;  // merged
-    std::size_t at = 0;
-    bool covers(std::uint32_t v) {
-      while (at < spans.size() && spans[at].second < v) ++at;
-      return at < spans.size() && spans[at].first <= v;
-    }
-  };
-  std::vector<std::array<Cover, 2>> cover(box_layers.size());
-  for (std::size_t a = 0; a < 2; ++a) {
-    for (const Rect& r : rects[a]) {  // sorted by (layer, first line)
-      auto& spans = cover[slot[r.z] - 1][a].spans;
-      if (!spans.empty() && r.s_lo <= spans.back().second + 1)
-        spans.back().second = std::max(spans.back().second, r.s_hi);
-      else
-        spans.emplace_back(r.s_lo, r.s_hi);
-    }
-  }
-  auto recover = [&](std::size_t a) {
-    for (auto& c : cover) c[a].at = 0;
-  };
-  std::vector<std::array<std::vector<Run>, 3>> claims(box_layers.size());
-  for (const Run& r : hs)
-    if (const std::uint32_t k = slot[r.line()];
-        k != 0 && cover[k - 1][0].covers(r.group()))
-      claims[k - 1][0].push_back(
-          {key3(r.lo(), r.group(), r.line()), r.hi, r.edge});
-  recover(0);
-  for (const Run& r : zs)
-    for (auto it = std::lower_bound(box_layers.begin(), box_layers.end(),
-                                    r.lo());
-         it != box_layers.end() && *it <= r.hi; ++it)
-      if (cover[slot[*it] - 1][0].covers(r.group()))
-        claims[slot[*it] - 1][1].push_back(
-            {key3(r.line(), r.group(), *it), r.line(), r.edge});
-  for (const Run& r : vs)
-    if (const std::uint32_t k = slot[r.line()];
-        k != 0 && cover[k - 1][1].covers(r.group()))
-      claims[k - 1][2].push_back(
-          {key3(r.lo(), r.group(), r.line()), r.hi, r.edge});
-  for (auto& c : claims) {  // rows: wire runs and via points, merged
-    scratch.resize(c[0].size() + c[1].size());
-    std::merge(c[0].begin(), c[0].end(), c[1].begin(), c[1].end(),
-               scratch.begin(),
-               [](const Run& l, const Run& r) { return l.key < r.key; });
-    c[0].swap(scratch);
-  }
-  // One sweep per (box layer, axis).
-  for (std::size_t u = 0; u < 2 * box_layers.size(); ++u) {
-    poll_cancellation("check");
-    const std::size_t a = u % 2;
-    const std::uint32_t z = box_layers[u / 2];
-    const auto rs = std::equal_range(
-        rects[a].begin(), rects[a].end(), Rect{z, 0, 0, 0, 0, 0},
-        [](const Rect& l, const Rect& r) { return l.z < r.z; });
-    sweep_boxes(claims[u / 2][a == 0 ? 0 : 2], std::span(rs.first, rs.second),
-                !fr.boxes_overlap, [&](const Run& c, const Rect& r) {
-                  const NodeId node = geom.boxes[r.box].node;
-                  const Edge& ed = g.edge(c.edge);
-                  if (node == ed.u || node == ed.v) {
-                    touches[c.edge] |= (node == ed.u ? 1 : 0) |
-                                       (node == ed.v ? 2 : 0);
-                    return;
-                  }
-                  const std::uint32_t across = std::max(c.lo(), r.lo);
-                  found.push_back({a == 0 ? key3(across, c.line(), z)
-                                          : key3(c.line(), across, z),
-                                   c.edge, kNoId, Code::kTerminalTheft, node});
-                });
-  }
-}
-
 /// The run arrays one thread's checks reuse: layouts checked back to back
 /// (the jobs of a sweep) would otherwise fault in fresh pages on every
 /// pass, about a fifth of a sweep's check time. Emptied per check, never
-/// shrunk.
+/// shrunk. The smaller per-check arrays stay local: kept per thread as
+/// well, they raised a four-worker sweep's peak RSS by about a quarter.
 struct RunBuffers {
   std::vector<Run> hs, vs, zs, scratch;
 };
@@ -970,35 +1127,56 @@ RunBuffers& run_buffers() {
   return buffers;
 }
 
-/// Phase 2: collisions, terminal thefts and the distinct claim count, from
-/// sorts and sweeps over the frame-valid records. Each step is a span under
-/// `check.occupancy`.
+/// Phase 2: collisions, terminal thefts and the distinct claim count. The
+/// runs are collected and sorted, then met in two ordered walks: over the
+/// y-planes of the horizontal runs and via columns, and over the x-planes
+/// of the vertical runs and the via columns regrouped by x. Each plane's
+/// runs are claimed against the boxes, merged along their lines and
+/// crossed with the other kind while they are in cache. Each step is a span
+/// under `check.occupancy`.
 Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
                          const FrameResult& fr, ViaRule rule) {
   auto valid = [&](EdgeId e) {
     return e < g.num_edges() && fr.edge_frame_ok[e] != 0;
   };
-  // A via claims its whole column (kBlocking) or its two ends
-  // (kTransparent), as one or two runs along z.
   RunBuffers& buf = run_buffers();
   std::vector<Run>& hs = buf.hs;
   std::vector<Run>& vs = buf.vs;
   std::vector<Run>& zs = buf.zs;
-  std::vector<Run>& scratch = buf.scratch;  // sort buffer, then theft rows
+  std::array<Digits, 4> digits;
+  auto& [dh, dv, dz, dzc] = digits;
+  // Frame-valid records lie inside the grid, so its extent bounds the keys.
+  const std::uint32_t w = std::max<std::uint32_t>(geom.width, 1) - 1;
+  const std::uint32_t h = std::max<std::uint32_t>(geom.height, 1) - 1;
+  const std::uint32_t layers = std::max<std::uint32_t>(geom.num_layers, 1);
+  const DenseKey kh(h, 1, layers, 0, w);
+  const DenseKey kv(w, 1, layers, 0, h);
+  const DenseKey kz(h, 0, w, 1, layers);
   Occupancy out;
   std::vector<std::uint8_t> wires_on(geom.num_layers + std::size_t{1}, 0);
   {
+    // A via claims its whole column (kBlocking) or its two ends
+    // (kTransparent), as one or two runs along z.
     obs::Span step("check.occupancy.collect");
     hs.clear();
     vs.clear();
     zs.clear();
+    dh.reset(kh.bits);
+    dv.reset(kv.bits);
+    dz.reset(kz.bits);
+    auto add_via = [&](const Via& v, std::uint32_t z, std::uint32_t hi) {
+      zs.push_back({key3(z, v.x, v.y), hi, v.edge});
+      dz.add(kz(v.y, v.x, z));
+    };
     for (const WireSeg& s : geom.segs) {
       if (!valid(s.edge)) continue;
       if (s.y1 == s.y2) {
         hs.push_back({key3(s.x1, s.layer, s.y1), s.x2, s.edge});
+        dh.add(kh(s.y1, s.layer, s.x1));
         wires_on[s.layer] |= 1;
       } else {
         vs.push_back({key3(s.y1, s.layer, s.x1), s.y2, s.edge});
+        dv.add(kv(s.x1, s.layer, s.y1));
         wires_on[s.layer] |= 2;
       }
     }
@@ -1007,10 +1185,10 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
       if (!valid(v.edge)) continue;
       ++vias;
       if (rule == ViaRule::kBlocking) {
-        zs.push_back({key3(v.z1, v.x, v.y), v.z2, v.edge});
+        add_via(v, v.z1, v.z2);
       } else {
-        zs.push_back({key3(v.z1, v.x, v.y), v.z1, v.edge});
-        if (v.z2 != v.z1) zs.push_back({key3(v.z2, v.x, v.y), v.z2, v.edge});
+        add_via(v, v.z1, v.z1);
+        if (v.z2 != v.z1) add_via(v, v.z2, v.z2);
       }
     }
     out.runs = hs.size() + vs.size() + zs.size();
@@ -1021,38 +1199,100 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
   {
     obs::Span step("check.occupancy.sort");
     step.arg("records", out.runs);
-    sort_runs(hs, scratch);
-    sort_runs(vs, scratch);
-    sort_runs(zs, scratch);
+    sort_runs(hs, kh, dh, buf.scratch);
+    sort_runs(vs, kv, dv, buf.scratch);
+    sort_runs(zs, kz, dz, buf.scratch);
   }
+
+  // Under kBlocking the same-edge crossings join the runs they cross, in a
+  // union-find over every run: hs first, then zs, then vs, numbered by
+  // their merged index (which never exceeds the unmerged one).
+  const bool blocking = rule == ViaRule::kBlocking;
+  Dsu union_find;
+  Dsu* joins = blocking ? &union_find : nullptr;
+  if (joins != nullptr) joins->reset(out.runs);
+  const auto base_z = static_cast<std::uint32_t>(hs.size());
+  const auto base_v = static_cast<std::uint32_t>(hs.size() + zs.size());
+
   std::vector<Finding> found;
   out.touches.assign(g.num_edges(), 0);
-  {
-    obs::Span step("check.occupancy.theft");
-    step.arg("records", out.runs);
-    find_thefts(g, geom, fr, hs, vs, zs, found, out.touches, scratch);
-  }
-
-  // Each kind merges per edge along its lines; overlaps on a line are hits.
-  // From here on hs, vs and zs hold merged runs, numbered in that order.
+  TheftSweeps thefts(g, geom, fr, found, out.touches);
   CrossOut cross;
+  CrossScratch sc;
+  std::vector<std::size_t> active;  // merge_lines' scratch
+  // Merges one plane's lines and counts their points; `lines` (if given)
+  // counts the merged runs' line digits.
+  auto merge = [&](std::vector<Run>& runs, std::size_t b, std::size_t e,
+                   Axis axis, std::size_t& kept, Digits* lines) {
+    const std::size_t from = kept;
+    merge_lines(runs, b, e, axis, kept, active, cross.hits);
+    for (std::size_t i = from; i < kept; ++i) {
+      out.points += runs[i].hi - runs[i].lo() + 1;
+      if (lines != nullptr) lines->add(runs[i].line());
+    }
+  };
   {
-    obs::Span step("check.occupancy.merge");
-    step.arg("records", out.runs);
-    sweep_lines(hs, Axis::kX, cross.hits);
-    sweep_lines(vs, Axis::kY, cross.hits);
-    sweep_lines(zs, Axis::kZ, cross.hits);
-    for (const std::vector<Run>* m : {&hs, &vs, &zs})
-      for (const Run& r : *m) out.points += r.hi - r.lo() + 1;
+    // Row walk: per y-plane, claims, merges, and crossings of the
+    // horizontal runs with the via columns. The merged columns' x digits
+    // are counted for the regroup.
+    obs::Span step("check.occupancy.rows");
+    step.arg("records", hs.size() + zs.size());
+    dzc.reset(std::bit_width(w));
+    std::size_t ih = 0, iz = 0, kept_h = 0, kept_z = 0;
+    for (std::size_t plane = 0; ih < hs.size() || iz < zs.size(); ++plane) {
+      if (plane % kPollPlanes == 0) poll_cancellation_block("check");
+      const std::uint32_t y = std::min(group_at(hs, ih), group_at(zs, iz));
+      const std::size_t h1 = plane_end(hs, ih, y);
+      const std::size_t z1 = plane_end(zs, iz, y);
+      thefts.row(y, std::span(hs).subspan(ih, h1 - ih),
+                 std::span(zs).subspan(iz, z1 - iz));
+      const std::size_t mh = kept_h, mz = kept_z;
+      merge(hs, ih, h1, Axis::kX, kept_h, nullptr);
+      merge(zs, iz, z1, Axis::kZ, kept_z, &dzc);
+      if (kept_h > mh && kept_z > mz)
+        sweep_crossings(hs, mh, kept_h, zs, mz, kept_z,
+                        {Plane::kRowY, false, joins, {nullptr, 0},
+                         {nullptr, base_z}},
+                        sc, cross);
+      ih = h1;
+      iz = z1;
+    }
+    hs.resize(kept_h);
+    zs.resize(kept_z);
   }
-  const auto nh = static_cast<std::uint32_t>(hs.size());
-  const auto nv = static_cast<std::uint32_t>(vs.size());
+  {
+    // Column walk: the merged via columns regrouped by x, then per x-plane
+    // of the vertical runs, claims, merges, and crossings with the vias.
+    obs::Span step("check.occupancy.columns");
+    step.arg("records", vs.size() + zs.size());
+    Regrouped zc, tmp;
+    zc.runs.swap(buf.scratch);  // the sort buffer is free again
+    regroup_counted(zs, dzc, zc, tmp);
+    std::size_t iv = 0, ic = 0, kept_v = 0;
+    for (std::size_t plane = 0; iv < vs.size(); ++plane) {
+      if (plane % kPollPlanes == 0) poll_cancellation_block("check");
+      const std::uint32_t x = vs[iv].group();
+      const std::size_t v1 = plane_end(vs, iv, x);
+      thefts.column(x, std::span(vs).subspan(iv, v1 - iv));
+      const std::size_t mv = kept_v;
+      merge(vs, iv, v1, Axis::kY, kept_v, nullptr);
+      while (ic < zc.runs.size() && zc.runs[ic].group() < x) ++ic;
+      const std::size_t c1 = plane_end(zc.runs, ic, x);
+      if (c1 > ic)
+        sweep_crossings(vs, mv, kept_v, zc.runs, ic, c1,
+                        {Plane::kColumnX, false, joins, {nullptr, base_v},
+                         {zc.from.data(), base_z}},
+                        sc, cross);
+      iv = v1;
+      ic = c1;
+    }
+    vs.resize(kept_v);
+    zc.runs.swap(buf.scratch);  // keep the buffer for the next check
+  }
 
-  // Different kinds meet only where they cross. A point an edge claims
-  // through two kinds was counted twice above, through all three thrice.
   // Wires cross wires only on layers holding both directions, which a
-  // layer-parity layout never has.
-  const bool joins = rule == ViaRule::kBlocking;
+  // layer-parity layout never has. A point an edge claims through two kinds
+  // was counted twice above, through all three thrice.
   std::vector<std::pair<std::uint64_t, EdgeId>> same_hv;
   {
     obs::Span step("check.occupancy.cross_layer");
@@ -1064,28 +1304,9 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
     step.arg("records", hl.runs.size() + vl.runs.size());
     cross_planes(hl.runs, vl.runs,
                  {Plane::kLayer, true, joins, {hl.from.data(), 0},
-                  {vl.from.data(), nh}},
+                  {vl.from.data(), base_v}},
                  cross);
     same_hv.swap(cross.points);
-  }
-  {
-    obs::Span step("check.occupancy.cross_rows");
-    step.arg("records", hs.size() + zs.size());
-    cross_planes(hs, zs,
-                 {Plane::kRowY, false, joins, {nullptr, 0}, {nullptr, nh + nv}},
-                 cross);
-  }
-  {
-    obs::Span step("check.occupancy.cross_columns");
-    step.arg("records", vs.size() + zs.size());
-    Regrouped zc;
-    zc.runs.swap(scratch);
-    regroup(zs, [](const Run&) { return true; }, zc);
-    cross_planes(vs, zc.runs,
-                 {Plane::kColumnX, false, joins, {nullptr, nh},
-                  {zc.from.data(), nh + nv}},
-                 cross);
-    zc.runs.swap(scratch);  // keep the buffer for the next check
   }
   out.points -= cross.same;
   for (const auto& [at, e] : same_hv) {
@@ -1107,21 +1328,23 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
   // Under kBlocking the shared points also prove connectivity: an edge
   // whose merged runs all fall in one component of the same-edge crossings
   // is connected (adjacency could only join more).
-  if (joins) {
-    Dsu dsu;
-    dsu.reset(std::size_t{nh} + nv + zs.size());
-    for (const auto& [a, b] : cross.joins) dsu.unite(a, b);
+  if (joins != nullptr) {
     std::vector<std::uint32_t> root(g.num_edges(), kNoId);
     out.joined.assign(g.num_edges(), 1);
-    std::uint32_t id = 0;
-    for (const std::vector<Run>* m : {&hs, &vs, &zs})
-      for (const Run& r : *m) {
-        const std::uint32_t c = dsu.find(id++);
-        if (root[r.edge] == kNoId)
-          root[r.edge] = c;
-        else if (root[r.edge] != c)
-          out.joined[r.edge] = 0;
+    auto visit = [&](const std::vector<Run>& runs, std::uint32_t base) {
+      for (std::size_t i = 0; i < runs.size(); ++i) {
+        const std::uint32_t c =
+            joins->find(base + static_cast<std::uint32_t>(i));
+        const EdgeId e = runs[i].edge;
+        if (root[e] == kNoId)
+          root[e] = c;
+        else if (root[e] != c)
+          out.joined[e] = 0;
       }
+    };
+    visit(hs, 0);
+    visit(zs, base_z);
+    visit(vs, base_v);
     for (EdgeId e = 0; e < g.num_edges(); ++e)
       if (root[e] == kNoId) out.joined[e] = 0;  // unrouted
   }

@@ -237,6 +237,11 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
   geo.width = x;
   geo.height = y;
 
+  // Row and column edges take 3 segments and at most 4 vias each, extra
+  // links at most 5 and 6.
+  const std::size_t n_paths = g.num_edges() - n_extra;
+  geo.segs.reserve(3 * n_paths + 5 * n_extra);
+  geo.vias.reserve(4 * n_paths + 6 * n_extra);
   geo.boxes.reserve(g.num_nodes());
   for (NodeId u = 0; u < g.num_nodes(); ++u)
     geo.boxes.push_back(

@@ -342,6 +342,59 @@ TEST(CheckOracle, FuzzedTallStacksAgree) {
   EXPECT_EQ(disagreements, 0);
 }
 
+/// Moves a fuzzed geometry by (dx, dy, dz), growing the grid to match, so
+/// its records sit at wide coordinates but keep their short lengths.
+void shift(Fuzzed& f, std::uint32_t dx, std::uint32_t dy, std::uint16_t dz) {
+  LayoutGeometry& geom = f.geom;
+  geom.width += dx;
+  geom.height += dy;
+  geom.num_layers = static_cast<std::uint16_t>(geom.num_layers + dz);
+  for (NodeBox& b : geom.boxes) {
+    b.x += dx;
+    b.y += dy;
+    b.layer = static_cast<std::uint16_t>(b.layer + dz);
+  }
+  for (WireSeg& s : geom.segs) {
+    s.x1 += dx;
+    s.x2 += dx;
+    s.y1 += dy;
+    s.y2 += dy;
+    s.layer = static_cast<std::uint16_t>(s.layer + dz);
+  }
+  for (Via& v : geom.vias) {
+    v.x += dx;
+    v.y += dy;
+    v.z1 = static_cast<std::uint16_t>(v.z1 + dz);
+    v.z2 = static_cast<std::uint16_t>(v.z2 + dz);
+  }
+}
+
+/// The fuzzed geometries moved past 2^11 and 2^16 and up to kCoordMax on
+/// each axis, and their layers past 2^11 and near the 16-bit limit: every
+/// key field then needs more bits than one radix digit holds, and the last
+/// row and column of the widest grid lie at kCoordMax - 1.
+TEST(CheckOracle, FuzzedWideCoordinatesAgree) {
+  int disagreements = 0;
+  for (std::uint64_t seed = 0; seed < 3000; ++seed) {
+    Fuzzed f = fuzz(2000000 + seed);
+    std::mt19937_64 rng(seed);
+    auto offset = [&](std::uint32_t side) {
+      const std::uint32_t picks[] = {0, (1u << 11) - 3, (1u << 16) - 5,
+                                     grid::kCoordMax - side};
+      return picks[rng() % 4];
+    };
+    const std::uint32_t dx = offset(f.geom.width);
+    const std::uint32_t dy = offset(f.geom.height);
+    const std::uint16_t dzs[] = {0, (1u << 11) - 2, 65000};
+    shift(f, dx, dy, dzs[rng() % 3]);
+    for (ViaRule rule : kRules)
+      if (!agree(f.g, f.geom, rule, "wide fuzz seed " + std::to_string(seed)))
+        ++disagreements;
+    if (disagreements > 5) break;
+  }
+  EXPECT_EQ(disagreements, 0);
+}
+
 TEST(CheckOracle, CoordinateRangeGateAgrees) {
   Graph g(2);
   g.add_edge(0, 1);

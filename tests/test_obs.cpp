@@ -226,9 +226,8 @@ TEST(Obs, CheckSubPhasesNestUnderCheckWithRecordCounts) {
   std::uint64_t steps_us = 0;
   for (const char* step :
        {"check.occupancy.collect", "check.occupancy.sort",
-        "check.occupancy.theft", "check.occupancy.merge",
-        "check.occupancy.cross_layer", "check.occupancy.cross_rows",
-        "check.occupancy.cross_columns"}) {
+        "check.occupancy.rows", "check.occupancy.columns",
+        "check.occupancy.cross_layer"}) {
     const obs::TraceEvent* ev = find(step);
     ASSERT_NE(ev, nullptr) << "missing span: " << step;
     EXPECT_EQ(ev->depth, occ->depth + 1) << step;
@@ -240,7 +239,8 @@ TEST(Obs, CheckSubPhasesNestUnderCheckWithRecordCounts) {
   EXPECT_LE(steps_us, occ->dur_us);
   EXPECT_EQ(arg(*find("check.occupancy.collect"), "records"),
             arg(*occ, "records"));
-  EXPECT_GT(arg(*find("check.occupancy.cross_rows"), "records"), 0u);
+  EXPECT_GT(arg(*find("check.occupancy.rows"), "records"), 0u);
+  EXPECT_GT(arg(*find("check.occupancy.columns"), "records"), 0u);
 }
 
 /// Lint runs each rule under its own `lint.<rule-id>` span, and a repair
