@@ -21,8 +21,6 @@ void print_tables() {
     Orthogonal2Layer o = layout::layout_hypercube(n);
     const std::uint64_t N = o.graph.num_nodes();
     for (std::uint32_t L : {2u, 4u, 8u}) {
-      // Full geometric verification is quadratic in wires; skip it for the
-      // largest instance to keep the bench quick (it is covered by tests).
       const bench::Measured m =
           bench::measure(o, L, /*pack_extras=*/true, "hypercube");
       const double pa = formulas::hypercube_area(N, L);

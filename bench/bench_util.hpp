@@ -108,8 +108,8 @@ inline void parse_bench_flags(int& argc, char** argv) {
 
 /// One consolidated-baseline row: the paper's cost quantities for one
 /// (family, L, N) point plus repeat statistics of the wall time of
-/// realize + compute_metrics (verification is excluded — it is quadratic
-/// and not part of the layout algorithm being baselined).
+/// realize + compute_metrics. The timed region covers the layout algorithm,
+/// not its verifier: the checker runs outside it.
 struct BenchRecord {
   std::string family;
   std::uint32_t L = 0;

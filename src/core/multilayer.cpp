@@ -1,6 +1,8 @@
 #include "core/multilayer.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "core/cancel.hpp"
@@ -15,15 +17,34 @@ constexpr std::uint32_t ceil_div(std::uint32_t a, std::uint32_t b) {
   return (a + b - 1) / b;
 }
 
-struct TerminalRef {
-  EdgeId edge;
-  bool away;  ///< wire leaves toward larger coordinate (right / down)
+/// Wires of one node side (top or right) that leave toward smaller and toward
+/// larger coordinates: counts after the first pass over the edges, the next
+/// free offsets during the second.
+struct SideSlots {
+  std::uint32_t toward = 0;
+  std::uint32_t away = 0;
 };
+
+/// Stable counting sort of items 0..keys.size()-1 by key (< buckets): on
+/// return order[start[b], start[b + 1]) lists bucket b's items in item order.
+void bucket_by_key(const std::vector<std::uint32_t>& keys,
+                   std::uint32_t buckets, std::vector<std::uint32_t>& start,
+                   std::vector<std::uint32_t>& order) {
+  start.assign(buckets + 1, 0);
+  for (std::uint32_t k : keys) ++start[k + 1];
+  for (std::uint32_t b = 0; b < buckets; ++b) start[b + 1] += start[b];
+  order.resize(keys.size());
+  std::vector<std::uint32_t> next(start.begin(), start.end() - 1);
+  for (std::uint32_t i = 0; i < keys.size(); ++i) order[next[keys[i]]++] = i;
+}
 
 }  // namespace
 
 MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
   if (opt.L < 2) throw std::invalid_argument("realize: L >= 2 required");
+  // Layer numbers are stored in 16 bits (WireSeg::layer, Via::z_lo/z_hi).
+  if (opt.L > std::numeric_limits<std::uint16_t>::max())
+    throw std::invalid_argument("realize: L <= 65535 required");
   obs::Span span("realize");
   const Graph& g = o.graph;
   const Placement& pl = o.place;
@@ -33,72 +54,62 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
   const std::uint32_t t_v = (L + 1) / 2;
 
   // ---- Terminal allocation -------------------------------------------------
-  // Top terminals serve row edges and extra-link sources; right terminals
-  // serve column edges and extra-link destinations. Wires that leave toward
-  // smaller coordinates are listed first so that two wires sharing a track
-  // and abutting at a node never overlap physically.
-  std::vector<std::vector<TerminalRef>> top(g.num_nodes()), right(g.num_nodes());
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+  // Top terminals serve row edges and both ends of extra links; right
+  // terminals serve column edges. At each node side, wires that leave toward
+  // smaller coordinates take the lowest offsets, so that two wires sharing a
+  // track and abutting at a node never overlap physically; within each class
+  // offsets follow edge order. Extras count as leaving away: their ordering
+  // is irrelevant because extra tracks never abut (inflated intervals).
+  // Two counting passes over the edges rank every wire at both ends.
+  struct Ends {
+    std::uint32_t side;  ///< 0 = top, 1 = right
+    bool away_u, away_v;
+  };
+  auto ends = [&](EdgeId e) -> Ends {
     const Edge& ed = g.edge(e);
     switch (o.kind[e]) {
       case EdgeKind::kRow:
-        top[ed.u].push_back({e, pl.col_of[ed.v] > pl.col_of[ed.u]});
-        top[ed.v].push_back({e, pl.col_of[ed.u] > pl.col_of[ed.v]});
-        break;
+        return {0, pl.col_of[ed.v] > pl.col_of[ed.u],
+                pl.col_of[ed.u] > pl.col_of[ed.v]};
       case EdgeKind::kCol:
-        right[ed.u].push_back({e, pl.row_of[ed.v] > pl.row_of[ed.u]});
-        right[ed.v].push_back({e, pl.row_of[ed.u] > pl.row_of[ed.v]});
-        break;
+        return {1, pl.row_of[ed.v] > pl.row_of[ed.u],
+                pl.row_of[ed.u] > pl.row_of[ed.v]};
       case EdgeKind::kExtra:
-        // Extras take a Z-shaped route between two top terminals (u's row
-        // band -> a hub column band -> v's row band); terminal ordering is
-        // irrelevant because extra tracks never abut (inflated intervals).
-        top[ed.u].push_back({e, true});
-        top[ed.v].push_back({e, true});
         break;
     }
+    return {0, true, true};
+  };
+  std::vector<SideSlots> slots(2 * std::size_t(g.num_nodes()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& ed = g.edge(e);
+    const Ends w = ends(e);
+    SideSlots& su = slots[2 * ed.u + w.side];
+    SideSlots& sv = slots[2 * ed.v + w.side];
+    ++(w.away_u ? su.away : su.toward);
+    ++(w.away_v ? sv.away : sv.toward);
   }
   std::uint32_t need = 2;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    auto toward_first = [](std::vector<TerminalRef>& list) {
-      std::stable_sort(list.begin(), list.end(),
-                       [](const TerminalRef& a, const TerminalRef& b) {
-                         return !a.away && b.away;
-                       });
-    };
-    toward_first(top[u]);
-    toward_first(right[u]);
-    need = std::max<std::uint32_t>(
-        need, std::max(top[u].size() + 1, right[u].size()));
+    SideSlots& top = slots[2 * u];
+    SideSlots& right = slots[2 * u + 1];
+    need = std::max(
+        {need, top.toward + top.away + 1, right.toward + right.away});
+    top = {0, top.toward};
+    right = {0, right.toward};
   }
   const std::uint32_t S = opt.node_size ? opt.node_size : need + 1;
   if (S < need + 1)
     throw std::invalid_argument("realize: node_size too small for terminals");
-
-  // Terminal offset lookup: edge -> offset at each endpoint.
-  std::vector<std::uint32_t> top_off(g.num_edges(), 0), top_off2(g.num_edges(), 0);
-  std::vector<std::uint32_t> right_off(g.num_edges(), 0), right_off2(g.num_edges(), 0);
-  auto record = [&](const std::vector<std::vector<TerminalRef>>& lists,
-                    std::vector<std::uint32_t>& off_u,
-                    std::vector<std::uint32_t>& off_v) {
-    for (NodeId u = 0; u < lists.size(); ++u) {
-      for (std::uint32_t i = 0; i < lists[u].size(); ++i) {
-        const EdgeId e = lists[u][i].edge;
-        if (g.edge(e).u == u)
-          off_u[e] = i;
-        else
-          off_v[e] = i;
-      }
-    }
-  };
-  record(top, top_off, top_off2);
-  record(right, right_off, right_off2);
-  auto top_offset = [&](EdgeId e, NodeId u) {
-    return g.edge(e).u == u ? top_off[e] : top_off2[e];
-  };
-  auto right_offset = [&](EdgeId e, NodeId u) {
-    return g.edge(e).u == u ? right_off[e] : right_off2[e];
-  };
+  // Terminal offset of each edge at its u and v end, on the side it uses.
+  std::vector<std::uint32_t> off_u(g.num_edges()), off_v(g.num_edges());
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    const Edge& ed = g.edge(e);
+    const Ends w = ends(e);
+    SideSlots& su = slots[2 * ed.u + w.side];
+    SideSlots& sv = slots[2 * ed.v + w.side];
+    off_u[e] = w.away_u ? su.away++ : su.toward++;
+    off_v[e] = w.away_v ? sv.away++ : sv.toward++;
+  }
 
   // ---- Extra-link group and track assignment -------------------------------
   // An extra link routes top terminal -> horizontal run in u's row band ->
@@ -115,90 +126,88 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
   std::vector<std::uint32_t> ex_group(n_extra), ex_hub(n_extra);
   std::vector<std::uint32_t> ex_ptrack_h1(n_extra), ex_ptrack_h2(n_extra),
       ex_ptrack_v(n_extra);
-  // Hub count trades horizontal-run overlap (fewer hubs = longer runs that
-  // all overlap at the hub) against vertical packing (more hubs = fewer
-  // vertical runs share a band). E/(4 t) hubs — about 4t extras per hub, a
-  // full track per layer group each — sits at or near the optimum across the
-  // families benchmarked in bench_folded/bench_butterfly/bench_cayley.
-  const std::uint32_t n_hubs =
-      opt.extra_hubs
-          ? std::min<std::uint32_t>(C, opt.extra_hubs)
-          : std::max<std::uint32_t>(
-                1, std::min<std::uint64_t>(C, n_extra / (4 * t_pair)));
-  const std::uint32_t stride = std::max<std::uint32_t>(1, C / n_hubs);
-  std::vector<std::vector<std::uint32_t>> hub_members(C);
-  for (std::size_t i = 0; i < n_extra; ++i) {
-    const Edge& ed = g.edge(o.extras[i].edge);
-    const std::uint32_t mid = (pl.col_of[ed.u] + pl.col_of[ed.v]) / 2;
-    ex_hub[i] =
-        std::min<std::uint32_t>(C - 1, mid / stride * stride + stride / 2);
-    hub_members[ex_hub[i]].push_back(static_cast<std::uint32_t>(i));
-  }
-
-  // Per hub, colour the vertical runs with one left-edge pass and derive
-  // both the layer group and the physical track from the colour — this packs
-  // the hub optimally instead of fragmenting it by a fixed group choice.
   std::vector<std::uint32_t> extra_h_width(R, 0), extra_v_width(C, 0);
-  for (std::uint32_t hub = 0; hub < C; ++hub) {
-    const auto& members = hub_members[hub];
-    if (members.empty()) continue;
-    std::vector<Interval> ivs;
-    ivs.reserve(members.size());
-    for (std::uint32_t i : members) {
+  if (n_extra != 0) {
+    // Hub count trades horizontal-run overlap (fewer hubs = longer runs that
+    // all overlap at the hub) against vertical packing (more hubs = fewer
+    // vertical runs share a band). E/(4 t) hubs — about 4t extras per hub, a
+    // full track per layer group each — sits at or near the optimum across
+    // the families benchmarked in bench_folded/bench_butterfly/bench_cayley.
+    const std::uint32_t n_hubs =
+        opt.extra_hubs
+            ? std::min<std::uint32_t>(C, opt.extra_hubs)
+            : std::max<std::uint32_t>(
+                  1, std::min<std::uint64_t>(C, n_extra / (4 * t_pair)));
+    const std::uint32_t stride = std::max<std::uint32_t>(1, C / n_hubs);
+    for (std::size_t i = 0; i < n_extra; ++i) {
       const Edge& ed = g.edge(o.extras[i].edge);
-      const std::uint32_t ru = pl.row_of[ed.u], rv = pl.row_of[ed.v];
-      ivs.push_back(
-          Interval{2 * std::min(ru, rv), 2 * std::max(ru, rv) + 2, i});
+      const std::uint32_t mid = (pl.col_of[ed.u] + pl.col_of[ed.v]) / 2;
+      ex_hub[i] =
+          std::min<std::uint32_t>(C - 1, mid / stride * stride + stride / 2);
     }
-    TrackAssignment ta;
-    if (opt.pack_extras) {
-      ta = assign_tracks_left_edge(ivs);
-    } else {
+    // Tracks for one bucket's runs: a left-edge pass, or without packing
+    // one track per run (the paper's conservative accounting).
+    auto assign = [&](const std::vector<Interval>& ivs) {
+      if (opt.pack_extras) return assign_tracks_left_edge(ivs);
+      TrackAssignment ta;
       ta.num_tracks = static_cast<std::uint32_t>(ivs.size());
       ta.track.resize(ivs.size());
-      for (std::size_t k = 0; k < ivs.size(); ++k)
-        ta.track[k] = static_cast<std::uint32_t>(k);
-    }
-    for (std::size_t k = 0; k < ivs.size(); ++k) {
-      const std::uint32_t i = ivs[k].tag;
-      ex_group[i] = ta.track[k] % t_pair;
-      ex_ptrack_v[i] = ta.track[k] / t_pair;
-    }
-    extra_v_width[hub] = (ta.num_tracks + t_pair - 1) / t_pair;
-  }
+      std::iota(ta.track.begin(), ta.track.end(), 0u);
+      return ta;
+    };
+    std::vector<std::uint32_t> start, order;
+    std::vector<Interval> ivs;
 
-  // Horizontal runs: pack per (row band, group), groups fixed above.
-  std::vector<std::vector<std::vector<Interval>>> row_ex(
-      R, std::vector<std::vector<Interval>>(t_pair));
-  for (std::size_t i = 0; i < n_extra; ++i) {
-    const Edge& ed = g.edge(o.extras[i].edge);
-    const auto tag = static_cast<std::uint32_t>(i);
-    const std::uint32_t hub_slot = 2 * ex_hub[i] + 1;
-    const std::uint32_t cu = pl.col_of[ed.u], cv = pl.col_of[ed.v];
-    row_ex[pl.row_of[ed.u]][ex_group[i]].push_back(
-        Interval{std::min(2 * cu, hub_slot), std::max(2 * cu, hub_slot) + 1,
-                 2 * tag});
-    row_ex[pl.row_of[ed.v]][ex_group[i]].push_back(
-        Interval{std::min(2 * cv, hub_slot), std::max(2 * cv, hub_slot) + 1,
-                 2 * tag + 1});
-  }
-  for (std::uint32_t b = 0; b < R; ++b) {
-    for (std::uint32_t gg = 0; gg < t_pair; ++gg) {
-      auto& ivs = row_ex[b][gg];
-      if (ivs.empty()) continue;
-      TrackAssignment ta;
-      if (opt.pack_extras) {
-        ta = assign_tracks_left_edge(ivs);
-      } else {
-        ta.num_tracks = static_cast<std::uint32_t>(ivs.size());
-        ta.track.resize(ivs.size());
-        for (std::size_t k = 0; k < ivs.size(); ++k)
-          ta.track[k] = static_cast<std::uint32_t>(k);
+    // Per hub, colour the vertical runs with one left-edge pass and derive
+    // both the layer group and the physical track from the colour — this
+    // packs the hub optimally instead of fragmenting it by a fixed group
+    // choice.
+    bucket_by_key(ex_hub, C, start, order);
+    for (std::uint32_t hub = 0; hub < C; ++hub) {
+      if (start[hub] == start[hub + 1]) continue;
+      ivs.clear();
+      for (std::uint32_t k = start[hub]; k < start[hub + 1]; ++k) {
+        const std::uint32_t i = order[k];
+        const Edge& ed = g.edge(o.extras[i].edge);
+        const std::uint32_t ru = pl.row_of[ed.u], rv = pl.row_of[ed.v];
+        ivs.push_back(
+            Interval{2 * std::min(ru, rv), 2 * std::max(ru, rv) + 2, i});
       }
+      const TrackAssignment ta = assign(ivs);
+      for (std::size_t k = 0; k < ivs.size(); ++k) {
+        const std::uint32_t i = ivs[k].tag;
+        ex_group[i] = ta.track[k] % t_pair;
+        ex_ptrack_v[i] = ta.track[k] / t_pair;
+      }
+      extra_v_width[hub] = (ta.num_tracks + t_pair - 1) / t_pair;
+    }
+
+    // Horizontal runs: pack per (row band, group), groups fixed above. Run
+    // 2i is extra i's run in u's band, run 2i + 1 the one in v's band.
+    std::vector<std::uint32_t> run_key(2 * n_extra);
+    for (std::size_t i = 0; i < n_extra; ++i) {
+      const Edge& ed = g.edge(o.extras[i].edge);
+      run_key[2 * i] = pl.row_of[ed.u] * t_pair + ex_group[i];
+      run_key[2 * i + 1] = pl.row_of[ed.v] * t_pair + ex_group[i];
+    }
+    bucket_by_key(run_key, R * t_pair, start, order);
+    for (std::uint32_t key = 0; key < R * t_pair; ++key) {
+      if (start[key] == start[key + 1]) continue;
+      ivs.clear();
+      for (std::uint32_t k = start[key]; k < start[key + 1]; ++k) {
+        const std::uint32_t tag = order[k];
+        const Edge& ed = g.edge(o.extras[tag / 2].edge);
+        const std::uint32_t hub_slot = 2 * ex_hub[tag / 2] + 1;
+        const std::uint32_t c2 = 2 * pl.col_of[tag % 2 ? ed.v : ed.u];
+        ivs.push_back(Interval{std::min(c2, hub_slot),
+                               std::max(c2, hub_slot) + 1, tag});
+      }
+      const TrackAssignment ta = assign(ivs);
       for (std::size_t k = 0; k < ivs.size(); ++k) {
         const std::uint32_t tag = ivs[k].tag;
         (tag % 2 ? ex_ptrack_h2 : ex_ptrack_h1)[tag / 2] = ta.track[k];
       }
+      const std::uint32_t b = key / t_pair;
       extra_h_width[b] = std::max(extra_h_width[b], ta.num_tracks);
     }
   }
@@ -278,8 +287,8 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
         const std::uint32_t wy = band_y[row] + pt;
         const std::uint16_t lh = static_cast<std::uint16_t>(2 * grp + 1);
         const std::uint16_t lv = static_cast<std::uint16_t>(2 * grp + 2);
-        const std::uint32_t xu = node_x[pl.col_of[ed.u]] + top_offset(e, ed.u);
-        const std::uint32_t xv = node_x[pl.col_of[ed.v]] + top_offset(e, ed.v);
+        const std::uint32_t xu = node_x[pl.col_of[ed.u]] + off_u[e];
+        const std::uint32_t xv = node_x[pl.col_of[ed.v]] + off_v[e];
         add_h(xu, xv, wy, lh, e);
         add_v(xu, wy, node_y[row], lv, e);
         add_v(xv, wy, node_y[row], lv, e);
@@ -305,10 +314,8 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
           lriser = static_cast<std::uint16_t>(2 * t_h - 1);
           odd_group_used = true;
         }
-        const std::uint32_t yu =
-            node_y[pl.row_of[ed.u]] + right_offset(e, ed.u);
-        const std::uint32_t yv =
-            node_y[pl.row_of[ed.v]] + right_offset(e, ed.v);
+        const std::uint32_t yu = node_y[pl.row_of[ed.u]] + off_u[e];
+        const std::uint32_t yv = node_y[pl.row_of[ed.v]] + off_v[e];
         const std::uint32_t xeu = node_x[col] + S - 1;
         add_v(wx, yu, yv, lwire, e);
         add_h(xeu, wx, yu, lriser, e);
@@ -331,10 +338,8 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
             band_y[rv] + base_h[rv] + ex_ptrack_h2[extra_idx];
         const std::uint32_t wx =
             band_x[hub] + base_v[hub] + ex_ptrack_v[extra_idx];
-        const std::uint32_t xu =
-            node_x[pl.col_of[ed.u]] + top_offset(e, ed.u);
-        const std::uint32_t xv =
-            node_x[pl.col_of[ed.v]] + top_offset(e, ed.v);
+        const std::uint32_t xu = node_x[pl.col_of[ed.u]] + off_u[e];
+        const std::uint32_t xv = node_x[pl.col_of[ed.v]] + off_v[e];
         add_v(xu, wy1, node_y[ru], lv, e);  // source riser
         add_h(xu, wx, wy1, lh, e);          // run to the hub band
         if (wy1 != wy2) add_v(wx, wy1, wy2, lv, e);  // hub vertical run
@@ -352,6 +357,8 @@ MultilayerLayout realize(const Orthogonal2Layer& o, const RealizeOptions& opt) {
     }
   }
   if (odd_group_used) ml.required_rule = ViaRule::kTransparent;
+  span.arg("records", geo.boxes.size() + geo.segs.size() + geo.vias.size())
+      .arg("edges", g.num_edges());
   if (obs::metrics_enabled()) {
     obs::counter_add("routing.segments", geo.segs.size());
     obs::counter_add("vias.placed", geo.vias.size());

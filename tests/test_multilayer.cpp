@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <sstream>
+#include <string_view>
+
 #include "core/checker.hpp"
 #include "core/collinear.hpp"
+#include "core/io.hpp"
 #include "core/metrics.hpp"
+#include "layout/butterfly_layout.hpp"
+#include "layout/ccc_layout.hpp"
 #include "layout/folded_hc_layout.hpp"
+#include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
 
 namespace mlvl {
@@ -53,6 +61,11 @@ TEST(Multilayer, RejectsBadOptions) {
   EXPECT_THROW(realize(o, {.L = 1}), std::invalid_argument);
   EXPECT_THROW(realize(o, RealizeOptions{.L = 2, .node_size = 1}),
                std::invalid_argument);
+  // Layer numbers are 16-bit: L = 65540 would wrap to 4 layers.
+  constexpr std::uint32_t kMaxL = std::numeric_limits<std::uint16_t>::max();
+  EXPECT_THROW(realize(o, {.L = kMaxL + 1}), std::invalid_argument);
+  EXPECT_THROW(realize(o, {.L = 65540}), std::invalid_argument);
+  EXPECT_EQ(realize(o, {.L = kMaxL}).geom.num_layers, kMaxL);
 }
 
 TEST(Multilayer, NodeSizeOverride) {
@@ -105,6 +118,67 @@ TEST(Multilayer, HigherLNeverIncreasesArea) {
     EXPECT_TRUE(Checker(o.graph, ml.geom, {.via_rule = ml.required_rule})
                     .check()) << "L=" << L;
   }
+}
+
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+// The emitted geometry, byte for byte: FNV-1a of the mlvl text of layouts
+// that cover row, column and extra edges, odd L (stacked vias), a fixed node
+// size, unpacked extras and a fixed hub count. Any change to terminal
+// ranking, extra-link track assignment or emission order shows here.
+TEST(Multilayer, GeometryBytesPinned) {
+  struct Case {
+    const char* name;
+    Orthogonal2Layer (*build)();
+    RealizeOptions opt;
+    std::uint64_t fnv;
+  };
+  const Case cases[] = {
+      {"kary(3,2) L=2", [] { return layout::layout_kary(3, 2); }, {.L = 2},
+       0xf00ac5501dd7b6a8ULL},
+      {"kary(4,3) L=8", [] { return layout::layout_kary(4, 3); }, {.L = 8},
+       0x5f644f11b5baa803ULL},
+      {"hypercube(6) L=4", [] { return layout::layout_hypercube(6); },
+       {.L = 4}, 0xfce7286f73505e49ULL},
+      {"hypercube(5) L=5", [] { return layout::layout_hypercube(5); },
+       {.L = 5}, 0xb1fa60d73739d772ULL},
+      {"ccc(4) L=7", [] { return layout::layout_ccc(4); }, {.L = 7},
+       0x69e2e2863cc56ef0ULL},
+      {"butterfly(4) L=6", [] { return layout::layout_butterfly(4); },
+       {.L = 6}, 0xce785e2010712202ULL},
+      {"folded(5) L=4", [] { return layout::layout_folded_hypercube(5); },
+       {.L = 4}, 0x23fdc3ea7487898dULL},
+      {"folded(6) L=3", [] { return layout::layout_folded_hypercube(6); },
+       {.L = 3}, 0x8f3e15804e27551cULL},
+      {"folded(5) L=4 unpacked",
+       [] { return layout::layout_folded_hypercube(5); },
+       {.L = 4, .pack_extras = false}, 0x9fcc12b87b3924b5ULL},
+      {"folded(5) L=8 hubs=2",
+       [] { return layout::layout_folded_hypercube(5); },
+       {.L = 8, .extra_hubs = 2}, 0x49f443aae592e82eULL},
+      {"kary(3,3) L=4 node_size=12", [] { return layout::layout_kary(3, 3); },
+       {.L = 4, .node_size = 12}, 0x6f3d48eff4f9ac66ULL},
+  };
+  bool saw_extras = false, saw_stacked = false;
+  for (const Case& c : cases) {
+    const Orthogonal2Layer o = c.build();
+    const MultilayerLayout ml = realize(o, c.opt);
+    saw_extras |= !o.extras.empty();
+    saw_stacked |= ml.required_rule == ViaRule::kTransparent;
+    std::ostringstream os;
+    io::write_geometry(os, ml.geom);
+    EXPECT_EQ(fnv1a(os.str()), c.fnv)
+        << c.name << ": 0x" << std::hex << fnv1a(os.str());
+  }
+  EXPECT_TRUE(saw_extras);
+  EXPECT_TRUE(saw_stacked);
 }
 
 }  // namespace

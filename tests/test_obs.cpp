@@ -3,7 +3,9 @@
 // instrumentation of the layout pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -177,6 +179,29 @@ TEST(Trace, ChromeTraceIsWellFormedJson) {
   }
   EXPECT_TRUE(process_named);
   EXPECT_TRUE(thread_named);
+}
+
+/// The `realize` span carries the work it did: the records it emitted and
+/// the edges it routed.
+TEST(Obs, RealizeSpanCarriesRecordsAndEdges) {
+  Orthogonal2Layer o = layout::layout_hypercube(4);
+  obs::TraceSession session;
+  session.install();
+  const MultilayerLayout ml = realize(o, {.L = 4});
+  obs::TraceSession::uninstall();
+
+  const std::vector<obs::TraceEvent> events = session.events();
+  const auto it =
+      std::find_if(events.begin(), events.end(), [](const obs::TraceEvent& ev) {
+        return std::string_view(ev.name) == "realize";
+      });
+  ASSERT_NE(it, events.end());
+  std::map<std::string, std::uint64_t> args;
+  for (std::uint32_t i = 0; i < it->arg_count; ++i)
+    args[it->args[i].key] = std::stoull(it->args[i].value);
+  EXPECT_EQ(args["records"],
+            ml.geom.boxes.size() + ml.geom.segs.size() + ml.geom.vias.size());
+  EXPECT_EQ(args["edges"], o.graph.num_edges());
 }
 
 /// The checker's three sub-phases nest directly under its `check` span and

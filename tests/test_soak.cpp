@@ -103,7 +103,10 @@ TEST(Governance, SweepDeadlineSkipsUnstartedJobs) {
   // One worker, a 1 ms whole-batch budget, and four slow jobs: the batch
   // cannot finish, and every job resolves as deadline or skipped — with the
   // tail deterministically skipped because the budget tripped before pickup.
-  std::vector<SweepJob> jobs = hypercube_grid(9, 10, 2, 3);
+  // Each job must take well over the budget: a checked hypercube(9) at L=2
+  // runs in under 1 ms in an optimized build, hypercube(10) about four
+  // times as long.
+  std::vector<SweepJob> jobs = hypercube_grid(10, 11, 2, 3);
   SweepOptions opt;
   opt.threads = 1;
   opt.sweep_deadline_ms = 1;
