@@ -1,5 +1,5 @@
-// Experiment C-perf — the record-level checker: full-pass throughput,
-// serial and parallel. Each point also lands in the consolidated baseline so
+// Experiment C-perf — the record-level checker: full-pass throughput of the
+// serial checker. Each point also lands in the consolidated baseline so
 // bench-diff gates the check phase like any other phase.
 #include <benchmark/benchmark.h>
 
@@ -43,13 +43,11 @@ CheckFixture& fixture(int id) {
   return id == 0 ? hypercube_fixture() : kary_fixture();
 }
 
-/// Full pass; range(0) picks the fixture, range(1) the worker count.
+/// Full pass; range(0) picks the fixture.
 void BM_CheckFull(benchmark::State& state) {
   CheckFixture& f = fixture(static_cast<int>(state.range(0)));
-  const auto threads = static_cast<std::uint32_t>(state.range(1));
   for (auto _ : state) {
-    Checker checker(f.o.graph, f.ml.geom,
-                    {.via_rule = f.ml.required_rule, .threads = threads});
+    Checker checker(f.o.graph, f.ml.geom, {.via_rule = f.ml.required_rule});
     CheckReport rep = checker.check();
     if (!rep.ok) state.SkipWithError(rep.error.c_str());
     benchmark::DoNotOptimize(rep.points);
@@ -57,12 +55,7 @@ void BM_CheckFull(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * f.o.graph.num_edges());
 }
 
-BENCHMARK(BM_CheckFull)
-    ->Args({0, 1})
-    ->Args({0, 8})
-    ->Args({1, 1})
-    ->Args({1, 8})
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CheckFull)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Baseline row: wall statistics of the full check, per fixture. The cost
 /// columns carry the layout's exact dimensions plus the checker's

@@ -10,9 +10,7 @@
 // across an -L range and runs every job on the parallel batch engine, with
 // results printed in submission order (so -j 8 output is byte-identical to
 // -j 1); --deadline/--sweep-deadline bound each job / the whole batch with
-// cooperative cancellation, and --journal/--resume checkpoint finished jobs
-// so a killed sweep restarts where it stopped, byte-identical to an
-// uninterrupted run. And the perf gate: `bench-diff` compares a fresh
+// cooperative cancellation. And the perf gate: `bench-diff` compares a fresh
 // BENCH_mlvl.json against the committed baseline with noise-aware
 // thresholds and fails the build on regressions.
 //
@@ -44,7 +42,6 @@
 #include "core/io.hpp"
 #include "core/metrics.hpp"
 #include "core/svg.hpp"
-#include "engine/journal.hpp"
 #include "engine/sweep.hpp"
 #include "layout_tool_usage.hpp"
 #include "obs/bench_compare.hpp"
@@ -637,7 +634,6 @@ int run_sweep(const std::vector<std::string>& args,
               const CommonOptions& copt) {
   std::uint32_t l_lo = 4, l_hi = 4;
   std::uint32_t jobs_flag = 0;
-  std::string journal_path, resume_path;
   engine::SweepOptions opt;
   std::vector<std::string> patterns;
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -668,10 +664,6 @@ int run_sweep(const std::vector<std::string>& args,
       if (!parse_u32_flag(args[++i], "--sweep-deadline",
                           opt.sweep_deadline_ms))
         return usage();
-    } else if (args[i] == "--journal" && i + 1 < args.size()) {
-      journal_path = args[++i];
-    } else if (args[i] == "--resume" && i + 1 < args.size()) {
-      resume_path = args[++i];
     } else if (args[i] == "-nocheck") {
       opt.check = false;
     } else if (!args[i].empty() && args[i][0] != '-') {
@@ -682,33 +674,6 @@ int run_sweep(const std::vector<std::string>& args,
   }
   if (patterns.empty()) return usage();
   opt.threads = jobs_flag;
-
-  // Resume before journal: `--resume f --journal f` (the usual crash-restart
-  // invocation) must read the completed set before appending to the file.
-  engine::SweepResume resume;
-  if (!resume_path.empty()) {
-    DiagnosticSink jsink(4);
-    std::optional<engine::SweepResume> loaded =
-        engine::SweepJournal::load(resume_path, &jsink);
-    if (!loaded) {
-      print_spec_errors(jsink);
-      return kExitParseError;
-    }
-    resume = std::move(*loaded);
-    if (resume.malformed_lines != 0)
-      std::cerr << "layout_tool: " << resume.malformed_lines
-                << " torn journal line(s) ignored\n";
-    opt.resume = &resume;
-  }
-  std::optional<engine::SweepJournal> journal;
-  if (!journal_path.empty()) {
-    journal.emplace(journal_path);
-    if (!journal->valid()) {
-      std::cerr << "layout_tool: cannot open journal " << journal_path << "\n";
-      return kExitParseError;
-    }
-    opt.journal = &*journal;
-  }
 
   // Expand patterns x L range into the job list, submission order =
   // pattern order x parameter odometer x ascending L.
@@ -760,10 +725,9 @@ int run_sweep(const std::vector<std::string>& args,
     }
     t.print(std::cout);
     const engine::SweepTotals totals = report.totals();
-    // Cache and resume counts deliberately stay off this line: a resumed run
-    // rebuilds topologies its journal skipped, so those counts differ from
-    // the uninterrupted run's while every deterministic column above is
-    // byte-identical. They appear on the -v timing line instead.
+    // Cache counts stay off this line: a build cancelled by a budget is
+    // redone by the next job of its spec, so under deadlines they vary run
+    // to run. They appear on the -v -v governance line instead.
     std::cout << "sweep: " << report.jobs.size() << " job(s), " << totals.ok
               << " ok, " << totals.failed << " failed";
     if (totals.deadline != 0)
@@ -779,11 +743,7 @@ int run_sweep(const std::vector<std::string>& args,
                 << " ms, utilization " << report.utilization() << "\n";
       std::cout << "governance: " << report.cache_hits << " cache hit(s), "
                 << report.cache_misses << " topology build"
-                << (report.cache_misses == 1 ? "" : "s") << ", "
-                << report.resumed << " resumed";
-      if (journal) std::cout << ", journal " << journal->recorded()
-                             << " record(s)";
-      std::cout << "\n";
+                << (report.cache_misses == 1 ? "" : "s") << "\n";
     }
   }
   return report.all_ok() ? kExitValid : kExitInvalid;

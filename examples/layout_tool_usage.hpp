@@ -8,7 +8,6 @@ inline constexpr const char kLayoutToolUsage[] =
     R"usage(usage: layout_tool <network> [args...] [options]
        layout_tool sweep <spec-range>... [-L lo[..hi]] [-j N]
                    [-nocheck] [--deadline ms] [--sweep-deadline ms]
-                   [--journal file] [--resume file]
        layout_tool bench-diff <baseline.json> <current.json>
                    [--max-regress pct] [--noise-floor ms] [--json file]
                    [--save-baseline]
@@ -33,9 +32,6 @@ sweep options:
                     each topology is built once and shared across layer counts
   --deadline <ms>   per-job budget; over-budget jobs report verdict 'deadline'
   --sweep-deadline <ms>  whole-batch budget; unstarted jobs become 'skipped'
-  --journal <file>  append each finished job to a crash-safe journal
-  --resume <file>   skip jobs already completed in <file>, reproducing their
-                    recorded results (output byte-identical to an unbroken run)
 bench-diff options:
   --max-regress <pct>  wall-time slowdown tolerated before failing (default 20)
   --noise-floor <ms>   absolute wall-time slack per record (default 2.0)

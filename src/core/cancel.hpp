@@ -138,15 +138,6 @@ void poll_cancel_now(const char* phase);
   return detail::tl_cancel != nullptr;
 }
 
-/// The token installed on this thread, or nullptr. Thread-locals do not
-/// inherit across std::thread: a phase that spawns its own worker pool (the
-/// multi-threaded checker) captures this in the spawning thread and installs
-/// it on each worker via CancelScope, so a sweep/job deadline still reaches
-/// the inner loops.
-[[nodiscard]] inline const CancelToken* current_cancel_token() {
-  return detail::tl_cancel;
-}
-
 /// Checkpoint for pipeline hot loops: throws CancelledError when the
 /// installed token has tripped; a no-op (one thread-local load) otherwise.
 /// `phase` must be a string literal naming the phase span it sits in.

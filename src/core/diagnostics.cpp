@@ -60,7 +60,6 @@ const char* code_name(Code c) {
     case Code::kSpecBadLayerCount: return "spec-bad-layer-count";
     case Code::kJobDeadline: return "job-deadline";
     case Code::kSweepDeadline: return "sweep-deadline";
-    case Code::kJournalError: return "journal-error";
   }
   return "unknown";
 }
@@ -220,9 +219,6 @@ std::string Diagnostic::to_string() const {
       break;
     case Code::kSweepDeadline:
       s = "sweep deadline exceeded";
-      break;
-    case Code::kJournalError:
-      s = "sweep journal unreadable or wrong format";
       break;
   }
   if (line != 0) s = "line " + std::to_string(line) + ": " + s;

@@ -92,7 +92,6 @@ enum class Code : std::uint16_t {
   // hung worker.
   kJobDeadline,         ///< one job exceeded its per-job deadline
   kSweepDeadline,       ///< the whole sweep exceeded its deadline / cancelled
-  kJournalError,        ///< sweep journal unreadable / wrong format
 };
 
 enum class Severity : std::uint8_t { kWarning, kError };

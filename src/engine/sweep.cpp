@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "core/thread_annotations.hpp"
-#include "engine/journal.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -107,21 +106,6 @@ const char* verdict_name(JobVerdict v) {
   return "failed";
 }
 
-bool verdict_from_name(std::string_view name, JobVerdict& out) {
-  if (name == "retried") {  // retired verdict: a success after a retry
-    out = JobVerdict::kOk;
-    return true;
-  }
-  for (JobVerdict v : {JobVerdict::kOk, JobVerdict::kFailed,
-                       JobVerdict::kDeadline, JobVerdict::kSkipped}) {
-    if (name == verdict_name(v)) {
-      out = v;
-      return true;
-    }
-  }
-  return false;
-}
-
 bool SweepReport::all_ok() const {
   for (const JobResult& j : jobs)
     if (!j.ok) return false;
@@ -196,24 +180,6 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
     r.spec = std::move(*canon);
     keys[i] = api::format_family_spec(r.spec);
     runnable[i] = true;
-
-    // Resume prologue: a job whose spec×L key is in the journal reproduces
-    // its recorded result here, byte-identical in submission order, and
-    // never reaches a worker (so it builds nothing).
-    if (opt_.resume != nullptr) {
-      const JobResult* rec = opt_.resume->find(sweep_job_key(r.spec, r.L));
-      if (rec != nullptr) {
-        api::FamilySpec spec = std::move(r.spec);
-        r = *rec;
-        r.spec = std::move(spec);
-        r.L = jobs[i].options.L;
-        r.resumed = true;
-        runnable[i] = false;
-        ++report.resumed;
-        obs::counter_add("engine.jobs.resumed");
-        continue;
-      }
-    }
     slot[i] = slot_of.try_emplace(keys[i], slot_of.size()).first->second;
   }
   BuildTable table(slot_of.size());
@@ -248,7 +214,6 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       JobResult& r = report.jobs[i];
-      if (r.resumed) continue;  // reproduced from the journal, not a failure
       if (!runnable[i]) {
         obs::counter_add("engine.jobs.failed");
         continue;
@@ -315,9 +280,6 @@ SweepReport BatchLayoutEngine::run(const std::vector<SweepJob>& jobs) {
       obs::histogram_record("engine.job_ms", r.run_ms);
       if (per_worker) obs::histogram_record(wj, r.run_ms);
       obs::counter_add(r.ok ? "engine.jobs.completed" : "engine.jobs.failed");
-      // Checkpoint: one flushed line per finished job (the journal itself
-      // ignores deadline/skip verdicts — those re-run on resume).
-      if (opt_.journal != nullptr) opt_.journal->record(r);
     }
   };
 

@@ -1,4 +1,4 @@
-// Parallel batch layout engine with deadlines and crash-safe resume.
+// Parallel batch layout engine with deadlines.
 //
 // `BatchLayoutEngine::run` takes a list of jobs (canonical family spec ×
 // RealizeOptions), executes the full pipeline per job — topology, collinear
@@ -12,23 +12,17 @@
 // `run` keeps a batch-local build-once table (DESIGN.md §7.10) that builds
 // every spec once and dies when the batch returns.
 //
-// Failure containment:
-//  * **Deadlines.** `job_deadline_ms` arms a cooperative CancelToken per
-//    job; `sweep_deadline_ms` arms one over the whole batch, parent of every
-//    job token. The pipeline's hot phases (topology, interval, realize,
-//    check) poll the installed token and unwind with CancelledError; the
-//    worker converts that into a `JobVerdict::kDeadline` result — a
-//    structured partial report, never a hung worker. Jobs not yet started
-//    when the sweep deadline trips come back `kSkipped`.
-//  * **Checkpoint/resume.** With a `SweepJournal` attached, every finished
-//    job (ok / deterministically failed) is appended — one flushed line per
-//    job — and a `SweepResume` loaded from such a journal lets the next run
-//    skip completed spec×L keys while reproducing their results in
-//    submission order, byte-identical to an uninterrupted run.
+// Failure containment: `job_deadline_ms` arms a cooperative CancelToken per
+// job; `sweep_deadline_ms` arms one over the whole batch, parent of every
+// job token. The pipeline's hot phases (topology, interval, realize, check)
+// poll the installed token and unwind with CancelledError; the worker
+// converts that into a `JobVerdict::kDeadline` result — a structured
+// partial report, never a hung worker. Jobs not yet started when the sweep
+// deadline trips come back `kSkipped`. A lost sweep is simply re-run.
 //
 // Observability: the whole batch runs under an "engine.sweep" span with one
 // nested "engine.job" span per executed job; counters
-// engine.jobs.submitted / .completed / .failed / .resumed,
+// engine.jobs.submitted / .completed / .failed,
 // engine.cache.hit / .miss and engine.deadline.job / .sweep; histograms
 // engine.queue_wait_ms / engine.job_ms (aggregate) plus per-worker
 // engine.worker.<i>.queue_wait_ms / .job_ms log2-histograms; gauges
@@ -37,16 +31,12 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "api/layout_api.hpp"
 #include "core/cancel.hpp"
 
 namespace mlvl::engine {
-
-class SweepJournal;
-struct SweepResume;
 
 /// One unit of work: a family at one set of realize options.
 struct SweepJob {
@@ -65,9 +55,6 @@ enum class JobVerdict : std::uint8_t {
 
 /// Stable lowercase label ("ok", "failed", "deadline", "skipped").
 [[nodiscard]] const char* verdict_name(JobVerdict v);
-/// Inverse of verdict_name; used by the journal reader, which also reads the
-/// retired "retried" label of old journals as "ok".
-[[nodiscard]] bool verdict_from_name(std::string_view name, JobVerdict& out);
 
 /// Outcome of one job, in submission order. Timings are informational and
 /// vary run to run; everything else is deterministic.
@@ -77,7 +64,6 @@ struct JobResult {
   bool ok = false;
   JobVerdict verdict = JobVerdict::kFailed;
   bool cache_hit = false;     ///< another job of the batch built the layout
-  bool resumed = false;       ///< reproduced from a SweepResume journal
   std::string error;          ///< first failure; empty when ok
   std::uint64_t nodes = 0;
   std::uint64_t edges = 0;
@@ -94,12 +80,6 @@ struct SweepOptions {
   /// and skips the rest.
   std::uint32_t job_deadline_ms = 0;
   std::uint32_t sweep_deadline_ms = 0;
-  /// Optional crash-safe journal: finished jobs are appended (and flushed)
-  /// as they complete. Non-owning; must outlive run().
-  SweepJournal* journal = nullptr;
-  /// Optional resume set: jobs whose spec×L key is present are not executed;
-  /// their recorded results are reproduced in place. Non-owning.
-  const SweepResume* resume = nullptr;
 };
 
 /// Deterministic sums over the per-job metrics, in submission order.
@@ -122,7 +102,6 @@ struct SweepReport {
   double busy_ms = 0;           ///< sum of per-job run times
   std::uint64_t cache_hits = 0;    ///< finished jobs that reused a layout
   std::uint64_t cache_misses = 0;  ///< finished jobs that built one
-  std::uint64_t resumed = 0;       ///< jobs reproduced from the journal
   std::vector<Diagnostic> warnings;  ///< e.g. a tripped sweep deadline
 
   [[nodiscard]] bool all_ok() const;
@@ -153,7 +132,7 @@ class BatchLayoutEngine {
   // no mutex: run() is single-caller by contract (one batch at a time), and
   // everything workers share is either immutable once the pool starts
   // (opt_, the canonicalized key/slot/runnable tables), internally
-  // synchronized (run's build table, the journal, the obs registry),
+  // synchronized (run's build table, the obs registry),
   // indexed disjointly (each worker writes only report.jobs[i] for the i it
   // claimed), or an atomic (the work-queue cursor). request_cancel() is the
   // one cross-thread entry point and touches only the CancelToken latch, so

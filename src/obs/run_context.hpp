@@ -1,9 +1,9 @@
 // Process-wide run identity for the flight recorder.
 //
 // Every observability artifact a single process emits — Chrome trace,
-// metrics JSON/CSV, sweep journal header, bench records — is stamped with
-// one `run_id` so artifacts from the same run can be correlated after the
-// fact (and artifacts from interleaved CI lanes can be told apart). The
+// metrics JSON/CSV, bench records — is stamped with one `run_id` so
+// artifacts from the same run can be correlated after the fact (and
+// artifacts from interleaved CI lanes can be told apart). The
 // id is generated lazily on first use from the wall clock and a
 // per-process entropy mix ("run-<16 hex>"); the `MLVL_RUN_ID` environment
 // variable overrides it, and `set_run_id` lets tests and tools pin a

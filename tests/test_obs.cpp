@@ -610,8 +610,8 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
        {"--doctor", "--lint", "--trace", "--metrics", "--quiet", "-q", "-v",
         "-L <layers>", "-svg", "-congestion", "-nocheck", "-repair",
         "-baseline", "-save-baseline", "-disable", "sweep <spec-range>", "-j <N>", "hypercube(n=4..8)",
-        "--deadline <ms>", "--sweep-deadline <ms>", "--journal <file>",
-        "--resume <file>", "bench-diff <baseline.json> <current.json>",
+        "--deadline <ms>", "--sweep-deadline <ms>",
+        "bench-diff <baseline.json> <current.json>",
         "--max-regress", "--noise-floor", "--json", "--save-baseline",
         "profile <trace.json>", "--top <N>", "--via-rule <rule>",
         "checker options",
@@ -623,7 +623,7 @@ TEST(UsageText, NamesTheInstalledBinaryAndEveryFlagFamily) {
        {"-nocache", "--retries", "--backoff", "--cache-capacity",
         "--soft-capacity", "soak", "--check-threads",
         "checker workers over line groups", "--metrics-interval",
-        "--report <file>", "-transparent"})
+        "--report <file>", "-transparent", "--journal", "--resume"})
     EXPECT_EQ(usage.find(gone), std::string::npos)
         << "usage text still names: " << gone;
 }

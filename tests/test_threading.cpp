@@ -2,8 +2,7 @@
 // MetricsRegistry counters/gauges/histograms, TraceSession span nesting
 // across threads, the sweep's build-once table under eight workers sharing
 // four specs, DiagnosticSink concurrent reporting, the CancelToken latch
-// tree, the SweepJournal writer, and the annotated Mutex/CondVar wrappers
-// themselves.
+// tree, and the annotated Mutex/CondVar wrappers themselves.
 //
 // These tests assert *exact* post-join totals (relaxed atomics never lose
 // increments; mutexed maps never lose inserts) and monotonicity *during*
@@ -15,7 +14,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
@@ -27,7 +25,6 @@
 #include "core/checker.hpp"
 #include "core/diagnostics.hpp"
 #include "core/thread_annotations.hpp"
-#include "engine/journal.hpp"
 #include "engine/sweep.hpp"
 #include "layout/hypercube_layout.hpp"
 #include "obs/metrics.hpp"
@@ -214,42 +211,6 @@ TEST(ThreadingCancel, LatchPropagatesThroughTheTokenTree) {
   for (std::thread& th : pool) th.join();
   EXPECT_EQ(observed.load(), kThreads);
   EXPECT_TRUE(sweep.tripped_flag_only() || sweep.tripped());
-}
-
-// -------------------------------------------------------------- SweepJournal
-
-TEST(ThreadingJournal, ConcurrentRecordsAllLandIntact) {
-  const std::string path = "test_threading_journal.mlvlj";
-  std::remove(path.c_str());
-  const api::FamilyRegistry& reg = api::FamilyRegistry::instance();
-  constexpr int kPerThread = 40;
-  {
-    engine::SweepJournal journal(path);
-    ASSERT_TRUE(journal.valid());
-    run_threads([&](unsigned t) {
-      for (int i = 0; i < kPerThread; ++i) {
-        engine::JobResult r;
-        r.spec = *reg.parse("hypercube(n=" +
-                            std::to_string(2 + (t * kPerThread + i) % 9) +
-                            ")");
-        r.L = 2 + (t + static_cast<unsigned>(i)) % 60;
-        r.ok = true;
-        r.verdict = engine::JobVerdict::kOk;
-        r.nodes = t;
-        r.edges = static_cast<std::uint64_t>(i);
-        journal.record(r);
-      }
-    });
-    EXPECT_EQ(journal.recorded(),
-              static_cast<std::size_t>(kThreads) * kPerThread);
-  }
-  // Every line must parse back whole: interleaved writers would tear lines
-  // without the journal's lock, and load() counts torn lines.
-  std::optional<engine::SweepResume> resume = engine::SweepJournal::load(path);
-  ASSERT_TRUE(resume.has_value());
-  EXPECT_EQ(resume->malformed_lines, 0u);
-  EXPECT_GT(resume->done.size(), 0u);
-  std::remove(path.c_str());
 }
 
 // ------------------------------------------------------ Concurrent checkers
