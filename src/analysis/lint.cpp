@@ -141,7 +141,7 @@ LintStats lint_layout(const Graph& g, const LayoutGeometry& geom,
     rule_span.arg("records", records);
     const LintEmit emit = [&](Diagnostic d) {
       d.code = info.code;
-      d.severity = cfg.severity[idx];
+      d.severity = Severity::kWarning;
       if (cfg.baseline.suppresses(d)) {
         ++stats.suppressed;
         return;

@@ -11,8 +11,9 @@
 // connected, and only the linter sees it.
 //
 // Every rule has a stable kebab-case id (== code_name of the Code it emits),
-// a default Severity::kWarning, and reports through the ordinary
-// DiagnosticSink. LintConfig provides per-rule enable/severity overrides and
+// reports every finding as Severity::kWarning through the ordinary
+// DiagnosticSink (`layout_tool --lint -strict` fails on warnings), and can be
+// switched off. LintConfig provides the per-rule enable switches and
 // a suppression baseline: a line-oriented file of finding fingerprints that
 // are intentional and must not be reported again.
 #pragma once
@@ -90,22 +91,14 @@ struct LintConfig {
   /// Via technology the layout targets. Under kTransparent the documented
   /// odd-L stacked junction vias are legal, so via-span-wide stays quiet.
   ViaRule via_rule = ViaRule::kBlocking;
-  std::array<bool, kNumLintRules> enabled{};       ///< default: all on
-  std::array<Severity, kNumLintRules> severity{};  ///< default: all kWarning
+  std::array<bool, kNumLintRules> enabled{};  ///< default: all on
 
   LintBaseline baseline;
 
-  LintConfig() {
-    enabled.fill(true);
-    severity.fill(Severity::kWarning);
-  }
+  LintConfig() { enabled.fill(true); }
 
   LintConfig& disable(LintRule r) {
     enabled[static_cast<std::size_t>(r)] = false;
-    return *this;
-  }
-  LintConfig& promote(LintRule r, Severity s = Severity::kError) {
-    severity[static_cast<std::size_t>(r)] = s;
     return *this;
   }
 };

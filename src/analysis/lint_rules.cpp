@@ -1,5 +1,5 @@
 // The ten lint rule bodies. Rules only compute locations and hand raw
-// findings to the emitter; policy (enable, severity, baseline) lives in the
+// findings to the emitter; policy (enable, baseline) lives in the
 // driver. Conventions shared by all rules:
 //  * a "run" is a non-degenerate segment (degenerate stubs are the business
 //    of zero-length-seg alone, so the other rules skip them);

@@ -18,19 +18,6 @@ std::string first_error(const DiagnosticSink& sink, const char* fallback) {
                                  : std::string(fallback);
 }
 
-/// Convert a cooperative cancellation into a failed result + diagnostic.
-LayoutResult cancelled_fail(const FamilySpec& spec, const CancelledError& ex,
-                            DiagnosticSink* sink) {
-  if (sink != nullptr) {
-    Diagnostic d;
-    d.code = Code::kJobDeadline;
-    d.severity = Severity::kError;
-    d.detail = ex.what();
-    sink->report(std::move(d));
-  }
-  return fail(spec, ex.what());
-}
-
 }  // namespace
 
 bool validate_options(const RealizeOptions& opt, DiagnosticSink* sink) {
@@ -55,15 +42,8 @@ LayoutResult run_layout(const LayoutRequest& req, DiagnosticSink* sink) {
       FamilyRegistry::instance().canonicalize(req.spec, &diags);
   if (!canon) return fail(req.spec, first_error(diags, "bad family spec"));
 
-  // The scope covers the topology build too: an expired budget stops the
-  // request at the "topology" checkpoint before any expensive work.
-  CancelScope scope(req.cancel);
-  std::optional<Orthogonal2Layer> ortho;
-  try {
-    ortho = FamilyRegistry::instance().build(*canon, &diags);
-  } catch (const CancelledError& ex) {
-    return cancelled_fail(*canon, ex, sink);
-  }
+  std::optional<Orthogonal2Layer> ortho =
+      FamilyRegistry::instance().build(*canon, &diags);
   if (!ortho) return fail(*canon, first_error(diags, "family build failed"));
 
   LayoutRequest resolved = req;
@@ -84,26 +64,17 @@ LayoutResult run_layout(const Orthogonal2Layer& ortho,
   r.spec = req.spec;
   r.nodes = ortho.graph.num_nodes();
   r.edges = ortho.graph.num_edges();
-  CancelScope scope(req.cancel);
-  try {
-    r.layout = realize(ortho, req.options);
-    if (req.check) {
-      CheckOptions copt = req.check_options;
-      copt.via_rule = r.layout.required_rule;
-      Checker checker(ortho.graph, r.layout.geom, copt);
-      r.check_report = checker.check();
-      if (!r.check_report.ok) {
-        r.error = r.check_report.error;
-        return r;
-      }
+  r.layout = realize(ortho, req.options);
+  if (req.check) {
+    Checker checker(ortho.graph, r.layout.geom,
+                    {.via_rule = r.layout.required_rule});
+    r.check_report = checker.check();
+    if (!r.check_report.ok) {
+      r.error = r.check_report.error;
+      return r;
     }
-    r.metrics = compute_metrics(r.layout, ortho.graph);
-  } catch (const CancelledError& ex) {
-    // Only a request-supplied token is handled here; when the caller (the
-    // batch engine) installed its own scope, the unwind is its to classify.
-    if (req.cancel == nullptr) throw;
-    return cancelled_fail(req.spec, ex, sink);
   }
+  r.metrics = compute_metrics(r.layout, ortho.graph);
   r.ok = true;
   return r;
 }

@@ -1,7 +1,8 @@
 // Public request/result facade over the full layout pipeline.
 //
 // A `LayoutRequest` names a family (canonical or not — it is canonicalized
-// here), the realize options, and whether to run the geometric checker;
+// here), the realize options, and whether to run the geometric checker
+// (always under the realized layout's own required via rule);
 // `run_layout` executes the whole pipeline — topology + collinear factors +
 // placement + interval assignment (inside the family build), multilayer
 // realization, verification, metrics — and returns everything a caller
@@ -10,7 +11,10 @@
 // std::atoi zero fed into realize().
 //
 // The batch engine reuses the `Orthogonal2Layer` overload to realize one
-// cached topology at many layer counts.
+// cached topology at many layer counts. A budget is the caller's: the
+// engine installs a CancelScope around the call, and a CancelledError
+// from a pipeline checkpoint propagates out of run_layout for it to
+// classify.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +22,6 @@
 #include <string>
 
 #include "api/registry.hpp"
-#include "core/cancel.hpp"
 #include "core/checker.hpp"
 #include "core/metrics.hpp"
 #include "core/multilayer.hpp"
@@ -29,14 +32,6 @@ struct LayoutRequest {
   FamilySpec spec;
   RealizeOptions options{};  ///< options.L validated to [2, 1024]
   bool check = true;         ///< run the geometric checker
-  /// Checker configuration (worker threads). `via_rule` is ignored:
-  /// the realized layout's own required rule is always enforced.
-  CheckOptions check_options{};
-  /// Optional cooperative budget (non-owning; may be shared across
-  /// requests). When the token trips mid-pipeline, run_layout returns a
-  /// failed result with a kJobDeadline diagnostic instead of finishing the
-  /// phase. The batch engine leaves this null and installs its own scope.
-  const CancelToken* cancel = nullptr;
 };
 
 struct LayoutResult {

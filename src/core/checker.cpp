@@ -9,8 +9,10 @@
 //      (vertical runs, and the via columns regrouped by x). Per plane, the
 //      runs meet the registered node boxes (terminal theft), merge along
 //      their lines (an edge's own runs join, other edges' overlaps are
-//      collisions) and cross the other kind. Each colliding edge pair is
-//      reported once, at its lowest shared point.
+//      collisions) and cross the other kind: the columns walk the row
+//      lines they span, found by binary search, or where they span many
+//      each row queries a bitset of the active columns. Each colliding
+//      edge pair is reported once, at its lowest shared point.
 //   3. Connectivity: an edge whose runs the crossings already joined is
 //      connected; any other edge runs a union-find over its records,
 //      joining two records whose point boxes touch or are 6-adjacent.
@@ -56,8 +58,6 @@ Diagnostic at_point(std::uint32_t x, std::uint32_t y, std::uint32_t z,
 
 /// Widest radix digit: 2^11 four-byte counters fit in L1.
 constexpr unsigned kDigitBits = 11;
-/// Inputs shorter than this are insertion-sorted, which is stable too.
-constexpr std::size_t kInsertionSort = 64;
 
 /// The digits an LSD radix sort passes over, and their histograms. Whoever
 /// produces the keys can count them as it goes (`add`), which spares the
@@ -92,17 +92,6 @@ struct Digits {
   }
 };
 
-template <typename T, typename KeyFn>
-void insertion_sort(std::vector<T>& v, KeyFn key) {
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    const T t = v[i];
-    const std::uint64_t k = key(t);
-    std::size_t j = i;
-    for (; j > 0 && key(v[j - 1]) > k; --j) v[j] = v[j - 1];
-    v[j] = t;
-  }
-}
-
 /// Sorts `v` stably by `key`, one scatter pass per digit of `d`, whose
 /// histograms must be those of v's keys; `tmp` is the second buffer (the
 /// two may trade storage). A digit every key shares moves nothing and is
@@ -131,10 +120,7 @@ void radix_passes(std::vector<T>& v, KeyFn key, Digits& d,
 /// varies, so keys whose fields leave gaps take no pass over the gaps.
 template <typename T, typename KeyFn>
 void radix_sort(std::vector<T>& v, KeyFn key, std::vector<T>& tmp) {
-  if (v.size() < kInsertionSort) {
-    insertion_sort(v, key);
-    return;
-  }
+  if (v.size() < 2) return;
   Digits d;
   d.bits = kDigitBits;
   std::uint64_t vary = 0;
@@ -185,24 +171,6 @@ struct FrameResult {
   std::vector<char> edge_frame_ok;         ///< per edge
   bool boxes_overlap = false;              ///< some registered boxes overlap
 };
-
-/// True iff the boxes in `order` (sorted by layer, top row, x) sit in rows
-/// of equal-height boxes whose row spans do not overlap, each row's boxes
-/// apart in x — a placement grid, checked in one pass.
-bool in_disjoint_rows(const LayoutGeometry& geom,
-                      const std::vector<std::uint32_t>& order) {
-  for (std::size_t i = 1; i < order.size(); ++i) {
-    const NodeBox& a = geom.boxes[order[i - 1]];
-    const NodeBox& b = geom.boxes[order[i]];
-    if (a.layer != b.layer) continue;
-    if (a.y == b.y) {
-      if (a.h != b.h || a.x + a.w > b.x) return false;
-    } else if (a.y + a.h > b.y) {
-      return false;
-    }
-  }
-  return true;
-}
 
 /// True iff two of the boxes in `order` (sorted by layer, then top row)
 /// share a cell. The boxes still open at a box's top row all cover that row,
@@ -313,8 +281,7 @@ void frame_scan(const Graph& g, const LayoutGeometry& geom, Reporter& rep,
   radix_sort(fr.by_row, [&](std::uint32_t i) {
     return key3(geom.boxes[i].x, geom.boxes[i].y, geom.boxes[i].layer);
   });
-  if (!in_disjoint_rows(geom, fr.by_row) &&
-      any_box_overlap(geom, fr.by_row)) {
+  if (any_box_overlap(geom, fr.by_row)) {
     struct Hit {
       std::uint32_t later, oy, ox;
     };
@@ -521,15 +488,6 @@ struct DenseKey {
   }
 };
 
-/// Sorts runs by key, with digit histograms `d` counted over `dense`.
-void sort_runs(std::vector<Run>& runs, DenseKey dense, Digits& d,
-               std::vector<Run>& tmp) {
-  if (runs.size() < kInsertionSort)
-    insertion_sort(runs, [](const Run& r) { return r.key; });
-  else
-    radix_passes(runs, dense, d, tmp);
-}
-
 /// A grid point two different edges both claim (a < b), as key3(x, y, z).
 struct Hit {
   std::uint64_t at;
@@ -604,25 +562,12 @@ Run swapped(const Run& r) {
   return {key3(r.lo(), r.group(), r.line()), r.hi, r.edge};
 }
 
-/// The runs of sorted `src` that `keep` accepts, regrouped into `out`
-/// (whose storage is reused). The source order is already (line, group, lo)
-/// for the new key, so a stable sort by the old line alone completes it.
-template <typename Keep>
-void regroup(const std::vector<Run>& src, Keep keep, Regrouped& out) {
-  out.runs.clear();
-  out.from.clear();
-  for (std::size_t i = 0; i < src.size(); ++i)
-    if (keep(src[i])) out.from.push_back(static_cast<std::uint32_t>(i));
-  radix_sort(out.from,
-             [&](std::uint32_t i) { return std::uint64_t{src[i].line()}; });
-  out.runs.reserve(out.from.size());
-  for (std::uint32_t i : out.from) out.runs.push_back(swapped(src[i]));
-}
-
-/// All of sorted `src` regrouped into `out` by the old line alone, whose
-/// digit histograms `d` the caller counted. Each pass reads its input in
-/// order; the first swaps group and line on the way, and the last lands in
-/// `out`. `tmp` is the second buffer.
+/// All of sorted `src` regrouped into `out` (whose storage is reused). The
+/// source order is already (line, group, lo) for the new key, so a stable
+/// sort by the old line alone completes it; the caller counted that line's
+/// digit histograms `d`. Each pass reads its input in order; the first swaps
+/// group and line on the way, and the last lands in `out`. `tmp` is the
+/// second buffer.
 void regroup_counted(const std::vector<Run>& src, Digits& d, Regrouped& out,
                      Regrouped& tmp) {
   const std::size_t n = src.size();
@@ -717,7 +662,7 @@ std::uint64_t plane_key(Plane p, std::uint32_t plane, std::uint32_t row,
 struct CrossScratch {
   std::vector<std::uint32_t> pos;
   std::vector<std::uint64_t> by_lo;  ///< (first row, column) packed
-  std::vector<std::uint32_t> row_of, line_start, next, one, rank;
+  std::vector<std::uint32_t> row_of, line_start, next;
   std::vector<std::vector<std::uint32_t>> open;
   SlotSet active;
 };
@@ -756,13 +701,12 @@ struct CrossOut {
 ///
 /// When the columns span few of the plane's row lines (a via spans at most
 /// its layers), the columns are walked in position order, each visiting
-/// the row lines it spans; every line keeps the runs open at the current
-/// position. That costs O(rows + cols + Σ lines spanned), and a plane with
-/// a single row line (every plane of a Thompson layout) takes it without
-/// the per-line bookkeeping. Otherwise the
-/// rows, in order, query the columns active there: the columns are slots of
-/// a SlotSet in position order, so a query visits only active slots in its
-/// span, and a column found already ended is dropped there.
+/// the row lines it spans (found by binary search); every line keeps the
+/// runs open at the current position. That costs O(rows + cols + Σ lines
+/// spanned + cols log lines). Otherwise the rows, in order, query the
+/// columns active there: the columns are slots of a SlotSet in position
+/// order, so a query visits only active slots in its span, and a column
+/// found already ended is dropped there.
 void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
                      std::size_t r1, const std::vector<Run>& all_cols,
                      std::size_t c0, std::size_t c1, const CrossSpec& spec,
@@ -783,31 +727,6 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
     if (spec.joins != nullptr)
       spec.joins->unite(spec.row_ids[r0 + k], spec.col_ids[c0 + i]);
   };
-  // Drops the open rows that end before column c and crosses the rest.
-  auto cross_open = [&](std::vector<std::uint32_t>& open, std::size_t c) {
-    const std::uint32_t pos = cols[c].line();
-    std::size_t kept = 0;
-    for (const std::uint32_t k : open)
-      if (rows[k].hi >= pos) {
-        open[kept++] = k;
-        cross(k, c);
-      }
-    open.resize(kept);
-  };
-  if (rows.front().line() == rows.back().line()) {  // one row line
-    const std::uint32_t row = rows.front().line();
-    std::vector<std::uint32_t>& open = sc.one;
-    open.clear();
-    std::size_t next = 0;
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      if (cols[c].lo() > row || cols[c].hi < row) continue;
-      const std::uint32_t pos = cols[c].line();
-      for (; next < rows.size() && rows[next].lo() <= pos; ++next)
-        open.push_back(static_cast<std::uint32_t>(next));
-      cross_open(open, c);
-    }
-    return;
-  }
   sc.row_of.clear();
   sc.line_start.clear();
   for (std::size_t i = 0; i < rows.size(); ++i)
@@ -816,26 +735,8 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
       sc.line_start.push_back(static_cast<std::uint32_t>(i));
     }
   sc.line_start.push_back(static_cast<std::uint32_t>(rows.size()));
-  // The row lines a column spans, [l0, l1) in row_of. Where the row lines
-  // are few values apart (layers, as in the wire-via planes), a table of
-  // ranks answers in O(1): rank[v - first] counts the row lines below v.
-  const std::uint32_t first = sc.row_of.front(), last = sc.row_of.back();
-  const bool ranked = last - first <= rows.size() + cols.size();
-  if (ranked) {
-    sc.rank.resize(last - first + 2);
-    const auto lines = static_cast<std::uint32_t>(sc.row_of.size());
-    for (std::uint32_t v = first, l = 0; v <= last + 1; ++v) {
-      while (l < lines && sc.row_of[l] < v) ++l;
-      sc.rank[v - first] = l;
-    }
-  }
+  // The row lines a column spans, [l0, l1) in row_of.
   auto spanned = [&](const Run& c) -> std::pair<std::size_t, std::size_t> {
-    if (ranked) {
-      const std::uint32_t lo = std::max(c.lo(), first);
-      const std::uint32_t hi = std::min(c.hi, last);
-      if (lo > hi) return {0, 0};
-      return {sc.rank[lo - first], sc.rank[hi + 1 - first]};
-    }
     return {static_cast<std::size_t>(
                 std::lower_bound(sc.row_of.begin(), sc.row_of.end(), c.lo()) -
                 sc.row_of.begin()),
@@ -866,7 +767,14 @@ void sweep_crossings(const std::vector<Run>& all_rows, std::size_t r0,
                rows[sc.next[l]].lo() <= pos;
              ++sc.next[l])
           open.push_back(sc.next[l]);
-        cross_open(open, c);
+        // Drops the open rows that end before the column, crosses the rest.
+        std::size_t kept = 0;
+        for (const std::uint32_t k : open)
+          if (rows[k].hi >= pos) {
+            open[kept++] = k;
+            cross(k, c);
+          }
+        open.resize(kept);
       }
     }
     return;
@@ -1199,9 +1107,9 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
   {
     obs::Span step("check.occupancy.sort");
     step.arg("records", out.runs);
-    sort_runs(hs, kh, dh, buf.scratch);
-    sort_runs(vs, kv, dv, buf.scratch);
-    sort_runs(zs, kz, dz, buf.scratch);
+    radix_passes(hs, kh, dh, buf.scratch);
+    radix_passes(vs, kv, dv, buf.scratch);
+    radix_passes(zs, kz, dz, buf.scratch);
   }
 
   // Under kBlocking the same-edge crossings join the runs they cross, in a
@@ -1291,15 +1199,23 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
   }
 
   // Wires cross wires only on layers holding both directions, which a
-  // layer-parity layout never has. A point an edge claims through two kinds
-  // was counted twice above, through all three thrice.
+  // layer-parity layout never has; cross_planes meets only those layers.
+  // A point an edge claims through two kinds was counted twice above,
+  // through all three thrice.
   std::vector<std::pair<std::uint64_t, EdgeId>> same_hv;
   {
     obs::Span step("check.occupancy.cross_layer");
     Regrouped hl, vl;
     if (std::find(wires_on.begin(), wires_on.end(), 3) != wires_on.end()) {
-      regroup(hs, [&](const Run& r) { return wires_on[r.line()] == 3; }, hl);
-      regroup(vs, [&](const Run& r) { return wires_on[r.line()] == 3; }, vl);
+      Regrouped tmp;
+      auto by_layer = [&](const std::vector<Run>& runs, Regrouped& out) {
+        Digits d;
+        d.reset(std::bit_width(layers));
+        for (const Run& r : runs) d.add(r.line());
+        regroup_counted(runs, d, out, tmp);
+      };
+      by_layer(hs, hl);
+      by_layer(vs, vl);
     }
     step.arg("records", hl.runs.size() + vl.runs.size());
     cross_planes(hl.runs, vl.runs,

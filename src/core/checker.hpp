@@ -19,10 +19,10 @@
 // point-disjoint, while overlaps and knock-knees would collide.
 //
 // Record model (DESIGN.md §7.13): the checker never expands a wire into grid
-// points. Runs are grouped by grid line and swept as intervals, H×V
-// crossings come from an orthogonal-segment sweep per layer, vias are
-// probed as at most L single points, and connectivity is a union-find over
-// each edge's records. Work grows with records (plus reported overlaps),
+// points. Runs are grouped by grid line and swept as intervals, vias are
+// runs along z crossed with the wires of their y- and x-planes, H×V
+// crossings come from an orthogonal-segment sweep per layer, and
+// connectivity is a union-find over each edge's records. Work grows with records (plus reported overlaps),
 // not with wire length or area. A pass is one serial sweep on the calling
 // thread, and its diagnostic sequence depends only on the input.
 #pragma once

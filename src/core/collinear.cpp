@@ -4,33 +4,23 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/thread_annotations.hpp"
 #include "obs/trace.hpp"
 
 namespace mlvl {
 namespace {
 
 /// Optimal track assignment for the complete graph K_r on nodes 0..r-1 placed
-/// in identity order; memoized per radix. Track count is floor(r^2/4).
-/// Guarded by a mutex: the batch engine builds families on worker threads.
-/// Map nodes are stable and values immutable once inserted, so the returned
-/// reference stays valid after the lock is released.
-const std::vector<std::uint32_t>& complete_tracks(std::uint32_t r) {
-  static Mutex mu;
-  static std::map<std::uint32_t, std::vector<std::uint32_t>> cache;
-  MutexLock lock(&mu);
-  auto it = cache.find(r);
-  if (it != cache.end()) return it->second;
+/// in identity order, keyed a*r+b. Track count is floor(r^2/4).
+std::vector<std::uint32_t> complete_tracks(std::uint32_t r) {
   std::vector<Interval> ivs;
   ivs.reserve(static_cast<std::size_t>(r) * (r - 1) / 2);
   for (std::uint32_t a = 0; a < r; ++a)
     for (std::uint32_t b = a + 1; b < r; ++b)
       ivs.push_back(Interval{a, b, a * r + b});
   TrackAssignment ta = assign_tracks_left_edge(ivs);
-  // Dense lookup keyed a*r+b.
   std::vector<std::uint32_t> table(static_cast<std::size_t>(r) * r, 0);
   for (std::size_t i = 0; i < ivs.size(); ++i) table[ivs[i].tag] = ta.track[i];
-  return cache.emplace(r, std::move(table)).first->second;
+  return table;
 }
 
 std::vector<std::uint32_t> invert(const std::vector<NodeId>& order) {
@@ -306,6 +296,14 @@ CollinearResult collinear_ghc(const std::vector<std::uint32_t>& radices) {
   for (std::uint32_t m = 0; m < n; ++m)
     F[m + 1] = radices[m] * F[m] +
                (static_cast<std::uint64_t>(radices[m]) * radices[m]) / 4;
+  // The K_r track table of each dimension, built once per distinct radix.
+  std::map<std::uint32_t, std::vector<std::uint32_t>> tables;
+  std::vector<const std::uint32_t*> ktab(n);
+  for (std::uint32_t t = 0; t < n; ++t) {
+    auto [it, fresh] = tables.try_emplace(radices[t]);
+    if (fresh) it->second = complete_tracks(radices[t]);
+    ktab[t] = it->second.data();
+  }
 
   Graph g(N);
   std::vector<std::uint32_t> digits(n);
@@ -324,11 +322,10 @@ CollinearResult collinear_ghc(const std::vector<std::uint32_t>& radices) {
       const std::uint32_t r = radices[t];
       std::uint64_t base = 0;
       for (std::uint32_t s = t + 1; s < n; ++s) base += digits[s] * F[s];
-      const std::vector<std::uint32_t>& ktab = complete_tracks(r);
       for (std::uint32_t c = digits[t] + 1; c < r; ++c) {
         g.add_edge(u, static_cast<NodeId>(u + (c - digits[t]) * step[t]));
         tracks.push_back(static_cast<std::uint32_t>(
-            base + r * F[t] + ktab[digits[t] * r + c]));
+            base + r * F[t] + ktab[t][digits[t] * r + c]));
       }
     }
   }

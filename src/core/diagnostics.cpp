@@ -58,7 +58,6 @@ const char* code_name(Code c) {
     case Code::kSpecMissingParam: return "spec-missing-param";
     case Code::kSpecBadValue: return "spec-bad-value";
     case Code::kSpecBadLayerCount: return "spec-bad-layer-count";
-    case Code::kJobDeadline: return "job-deadline";
     case Code::kSweepDeadline: return "sweep-deadline";
   }
   return "unknown";
@@ -213,9 +212,6 @@ std::string Diagnostic::to_string() const {
       break;
     case Code::kSpecBadLayerCount:
       s = "layer count must be between 2 and 1024";
-      break;
-    case Code::kJobDeadline:
-      s = "job deadline exceeded";
       break;
     case Code::kSweepDeadline:
       s = "sweep deadline exceeded";

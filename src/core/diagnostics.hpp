@@ -87,10 +87,8 @@ enum class Code : std::uint16_t {
   kSpecBadValue,        ///< malformed or out-of-range parameter value
   kSpecBadLayerCount,   ///< RealizeOptions::L outside [2, 1024]
 
-  // Engine resource governance (src/engine): deadline / cancellation
-  // outcomes. A job that trips its budget yields one of these instead of a
-  // hung worker.
-  kJobDeadline,         ///< one job exceeded its per-job deadline
+  // Engine resource governance (src/engine). A job that trips its own
+  // budget gets the kDeadline verdict, not a diagnostic.
   kSweepDeadline,       ///< the whole sweep exceeded its deadline / cancelled
 };
 

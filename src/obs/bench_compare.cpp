@@ -160,9 +160,7 @@ DiffReport diff_bench(const BenchFile& baseline, const BenchFile& current,
     const auto bit = baseline.points.find(k);
     const auto cit = current.points.find(k);
     if (bit == baseline.points.end() || cit == current.points.end()) {
-      DiffEntry e;
-      e.key = k;
-      e.metric = "*";
+      DiffEntry e{.key = k, .metric = "*"};
       e.verdict = bit == baseline.points.end() ? DiffVerdict::kNew
                                                : DiffVerdict::kMissing;
       const BenchPoint& only =

@@ -87,10 +87,12 @@ std::vector<FuzzCase> fuzz_cases() {
 
 INSTANTIATE_TEST_SUITE_P(Sweep, Fuzz, testing::ValuesIn(fuzz_cases()),
                          [](const testing::TestParamInfo<FuzzCase>& info) {
-                           return "n" + std::to_string(info.param.nodes) + "m" +
-                                  std::to_string(info.param.edges) + "L" +
-                                  std::to_string(info.param.L) + "i" +
-                                  std::to_string(info.index);
+                           std::string name = "n";
+                           name += std::to_string(info.param.nodes) + "m" +
+                                   std::to_string(info.param.edges) + "L" +
+                                   std::to_string(info.param.L) + "i" +
+                                   std::to_string(info.index);
+                           return name;
                          });
 
 }  // namespace

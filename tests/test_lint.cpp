@@ -404,21 +404,6 @@ TEST(LintPolicy, DisableSilencesARule) {
   EXPECT_EQ(s.suppressed, 0u);  // disabled != suppressed
 }
 
-TEST(LintPolicy, PromoteMakesFindingsErrors) {
-  Graph g = two_node_graph();
-  LayoutGeometry geom;
-  geom.num_layers = 4;
-  geom.width = geom.height = 8;
-  geom.segs.push_back({0, 0, 3, 0, 2, 0});
-  LintConfig cfg = only(LintRule::kLayerParity);
-  cfg.promote(LintRule::kLayerParity);
-  DiagnosticSink sink(16);
-  LintStats s = lint_layout(g, geom, cfg, sink);
-  EXPECT_EQ(s.reported, 1u);
-  EXPECT_EQ(sink.errors(), 1u);
-  EXPECT_EQ(sink.warnings(), 0u);
-}
-
 TEST(LintPolicy, BaselineSuppressesExactFingerprint) {
   Graph g = two_node_graph();
   LayoutGeometry geom;

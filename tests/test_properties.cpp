@@ -48,8 +48,10 @@ INSTANTIATE_TEST_SUITE_P(
                     KaryParam{5, 2, 10}, KaryParam{6, 2, 5},
                     KaryParam{7, 2, 4}, KaryParam{2, 4, 4}, KaryParam{8, 1, 2}),
     [](const testing::TestParamInfo<KaryParam>& info) {
-      return "k" + std::to_string(info.param.k) + "n" +
-             std::to_string(info.param.n) + "L" + std::to_string(info.param.L);
+      std::string name = "k";
+      name += std::to_string(info.param.k) + "n" +
+              std::to_string(info.param.n) + "L" + std::to_string(info.param.L);
+      return name;
     });
 
 class HypercubeSweep : public testing::TestWithParam<std::uint32_t> {};
