@@ -3,8 +3,6 @@
 // the area by ~t while volume and wire length stay approximately the same.
 // fold_3d performs the transform geometrically; all folded layouts verify
 // under the stacked-via rule.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -50,24 +48,10 @@ void print_tables() {
                "bench_claims buys both)\n";
 }
 
-void BM_Fold3d(benchmark::State& state) {
-  Orthogonal2Layer o = layout::layout_hypercube(8);
-  MultilayerLayout ml = realize(o, {.L = 2});
-  const auto slabs = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    Fold3dLayout f = fold_3d(ml, slabs);
-    benchmark::DoNotOptimize(f.geom.height);
-  }
-}
-
-BENCHMARK(BM_Fold3d)->Arg(2)->Arg(4)->Arg(8);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 //   A3  packed vs reserved extra-link accounting
 //   A4  extra-link hub count
 //   A5  structured (HSN-style) vs generic placement for star graphs
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -121,25 +119,13 @@ void ablation_star() {
   std::cout << t.str();
 }
 
-void BM_StructuredStar(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_star_structured(n);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_StructuredStar)->Arg(5)->Arg(6);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   ablation_tracks();
   ablation_ordering();
   ablation_extras();
   ablation_star();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -4,8 +4,6 @@
 // Our decomposition uses the hypercube quotient with row-group multiplicity
 // (see DESIGN.md §4), whose measured constant lands below the paper's GHC
 // bound — consistent with the paper's "optimal within a small constant".
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -50,22 +48,10 @@ void print_tables() {
   std::cout << s.str();
 }
 
-void BM_LayoutButterfly(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_butterfly(k);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_LayoutButterfly)->Arg(5)->Arg(7)->Arg(9);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // applied to star, pancake, bubble-sort, transposition and SCC networks. The
 // paper claims the same L-driven reductions hold; we measure them with the
 // generic layout.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -77,23 +75,10 @@ void print_tables() {
                "carries over to every permutation family)\n";
 }
 
-void BM_GenericStar(benchmark::State& state) {
-  Graph g = topo::make_star_graph(static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    Graph copy = g;
-    Orthogonal2Layer o = layout::layout_generic(std::move(copy));
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_GenericStar)->Arg(4)->Arg(5)->Arg(6);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // area 16N^2/(9 L^2 log2^2 N); the flattened hypercube-cluster layout has no
 // extra links, so its cost is dominated by the cube links exactly as the
 // paper argues.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -71,22 +69,10 @@ void print_tables() {
                "prior 2-layer result this construction beats)\n";
 }
 
-void BM_LayoutCcc(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_ccc(n);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_LayoutCcc)->Arg(4)->Arg(6)->Arg(8);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -3,8 +3,6 @@
 // collinear layout):
 //   (1) area / ~(L/2)^2, (2) volume / ~(L/2), (3) max wire / ~(L/2),
 //   (4) max routed wire / ~(L/2).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -12,8 +10,6 @@
 #include "bench_util.hpp"
 #include "core/fold.hpp"
 #include "layout/ghc_layout.hpp"
-#include "layout/hypercube_layout.hpp"
-#include "layout/kary_layout.hpp"
 
 namespace {
 
@@ -83,23 +79,10 @@ void print_claims() {
                "design reduces all three — the paper's motivation.)\n";
 }
 
-void BM_RealizeHypercube(benchmark::State& state) {
-  Orthogonal2Layer o = layout::layout_hypercube(8);
-  const auto L = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    MultilayerLayout ml = realize(o, {.L = L});
-    benchmark::DoNotOptimize(ml.geom.width);
-  }
-}
-
-BENCHMARK(BM_RealizeHypercube)->Arg(2)->Arg(8)->Arg(16);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_claims();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

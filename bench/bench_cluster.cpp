@@ -2,8 +2,6 @@
 // negligible while c stays small (c = o(k^{n/2-1}) for hypercube clusters,
 // o(k^{n/4-1}) for complete clusters), so the PN-cluster layout matches the
 // quotient layout within 1 + o(1).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -53,24 +51,10 @@ void print_tables() {
                "bound)\n";
 }
 
-void BM_LayoutCluster(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  const auto c = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    Orthogonal2Layer o =
-        layout::layout_kary_cluster(k, 2, c, topo::ClusterKind::kHypercube);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_LayoutCluster)->Args({4, 4})->Args({8, 8})->Args({8, 16});
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,10 +1,9 @@
 // Experiment F2/F3/F4 — the collinear building blocks of Figs. 2-4 and their
-// track-count closed forms, plus generator throughput.
-#include <benchmark/benchmark.h>
-
+// track-count closed forms.
 #include <iostream>
 
 #include "analysis/report.hpp"
+#include "bench_util.hpp"
 #include "core/collinear.hpp"
 
 namespace {
@@ -63,47 +62,10 @@ void print_figure_table() {
   std::cout << "\n=== Collinear track-count closed forms ===\n" << s.str();
 }
 
-std::int64_t topo_nodes(std::uint32_t k, std::uint32_t n) {
-  std::int64_t s = 1;
-  for (std::uint32_t i = 0; i < n; ++i) s *= k;
-  return s;
-}
-
-void BM_CollinearKary(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  const auto n = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    CollinearResult r = collinear_kary(k, n);
-    benchmark::DoNotOptimize(r.layout.num_tracks);
-  }
-  state.SetItemsProcessed(state.iterations() * topo_nodes(k, n));
-}
-
-void BM_CollinearHypercube(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    CollinearResult r = collinear_hypercube(n);
-    benchmark::DoNotOptimize(r.layout.num_tracks);
-  }
-}
-
-void BM_CollinearComplete(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    CollinearResult r = collinear_complete(n);
-    benchmark::DoNotOptimize(r.layout.num_tracks);
-  }
-}
-
-BENCHMARK(BM_CollinearKary)->Args({3, 4})->Args({4, 4})->Args({8, 3});
-BENCHMARK(BM_CollinearHypercube)->Arg(8)->Arg(10)->Arg(12);
-BENCHMARK(BM_CollinearComplete)->Arg(16)->Arg(32)->Arg(64);
-
 }  // namespace
 
 int main(int argc, char** argv) {
+  mlvl::bench::parse_args(argc, argv);
   print_figure_table();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

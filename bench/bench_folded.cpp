@@ -1,8 +1,6 @@
 // Experiment T5.3 — Sec. 5.3 folded hypercubes (49N^2/(9L^2)) and enhanced
 // cubes (100N^2/(9L^2)), under both the paper's reserved-track accounting and
 // our packed mode (the paper notes packing "may reduce" the area).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -74,23 +72,10 @@ void print_tables() {
   std::cout << r.str();
 }
 
-void BM_FoldedRealize(benchmark::State& state) {
-  Orthogonal2Layer o = layout::layout_folded_hypercube(
-      static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    MultilayerLayout ml = realize(o, {.L = 4});
-    benchmark::DoNotOptimize(ml.geom.width);
-  }
-}
-
-BENCHMARK(BM_FoldedRealize)->Arg(6)->Arg(8)->Arg(10);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,8 +1,6 @@
 // Experiment T4.1 — Sec. 4.1 generalized hypercubes: track formula
 // f_r(n) = (N-1) floor(r^2/4)/(r-1), area r^2 N^2/(4 L^2), volume
 // r^2 N^2 / (4L), max wire rN/(2L), and max routed wire rN/L.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -86,22 +84,10 @@ void print_tables() {
   std::cout << mx.str();
 }
 
-void BM_LayoutGhc(benchmark::State& state) {
-  const auto r = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_ghc(r, 2);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_LayoutGhc)->Arg(4)->Arg(8)->Arg(12);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,5 @@
 // Experiment T4.3a — Sec. 4.3 hierarchical swap networks and HHNs:
 // area N^2/(4L^2), volume N^2/(4L), max wire N/(2L), routed wire N/L.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -57,24 +55,10 @@ void print_tables() {
   std::cout << p.str();
 }
 
-void BM_LayoutHsn(benchmark::State& state) {
-  const auto levels = static_cast<std::uint32_t>(state.range(0));
-  const auto r = static_cast<std::uint32_t>(state.range(1));
-  Graph nucleus = topo::make_ring(r);
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_hsn(levels, nucleus);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_LayoutHsn)->Args({2, 8})->Args({3, 4})->Args({2, 16});
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -1,7 +1,5 @@
 // Experiment T5.1 — Sec. 5.1 hypercubes: floor(2N/3)-track collinear factor,
 // area 16N^2/(9L^2), max wire 2N/(3L).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -44,32 +42,10 @@ void print_tables() {
   std::cout << c.str();
 }
 
-void BM_LayoutHypercube(benchmark::State& state) {
-  const auto n = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_hypercube(n);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-void BM_RealizeAndCheckHypercube(benchmark::State& state) {
-  Orthogonal2Layer o =
-      layout::layout_hypercube(static_cast<std::uint32_t>(state.range(0)));
-  for (auto _ : state) {
-    const bench::Measured m = bench::measure(o, 8);
-    benchmark::DoNotOptimize(m.metrics.area);
-  }
-}
-
-BENCHMARK(BM_LayoutHypercube)->Arg(8)->Arg(10)->Arg(12);
-BENCHMARK(BM_RealizeAndCheckHypercube)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -2,8 +2,6 @@
 // multiplicity (2 links vs 4 per quotient pair), the ISN's area and volume
 // should be ~4x smaller and its wire lengths ~2x shorter than a similar-size
 // butterfly.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -79,23 +77,10 @@ void print_tables() {
                "normalized per node; raw sizes differ slightly)\n";
 }
 
-void BM_LayoutIsn(benchmark::State& state) {
-  const auto levels = static_cast<std::uint32_t>(state.range(0));
-  const auto r = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_isn(levels, r);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-BENCHMARK(BM_LayoutIsn)->Args({3, 4})->Args({3, 6})->Args({4, 3});
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

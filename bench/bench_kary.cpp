@@ -2,8 +2,6 @@
 // f_k(n) = 2(k^n-1)/(k-1), area 16N^2/(L^2 k^2) (even L) and
 // 16N^2/((L^2-1)k^2) (odd L), volume 16N^2/(L k^2), and the folded-ordering
 // max-wire reduction O(N/(L k^2)).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/formulas.hpp"
@@ -97,35 +95,10 @@ void print_tables() {
                "~4x area)\n";
 }
 
-void BM_LayoutKary(benchmark::State& state) {
-  const auto k = static_cast<std::uint32_t>(state.range(0));
-  const auto n = static_cast<std::uint32_t>(state.range(1));
-  for (auto _ : state) {
-    Orthogonal2Layer o = layout::layout_kary(k, n);
-    benchmark::DoNotOptimize(o.graph.num_edges());
-  }
-}
-
-void BM_RealizeKary(benchmark::State& state) {
-  Orthogonal2Layer o = layout::layout_kary(
-      static_cast<std::uint32_t>(state.range(0)),
-      static_cast<std::uint32_t>(state.range(1)));
-  const auto L = static_cast<std::uint32_t>(state.range(2));
-  for (auto _ : state) {
-    MultilayerLayout ml = realize(o, {.L = L});
-    benchmark::DoNotOptimize(ml.geom.width);
-  }
-}
-
-BENCHMARK(BM_LayoutKary)->Args({4, 4})->Args({8, 3});
-BENCHMARK(BM_RealizeKary)->Args({4, 4, 2})->Args({4, 4, 8})->Args({8, 3, 8});
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -6,8 +6,6 @@
 // Under the Thompson model the crossing capacity per direction is one layer,
 // so A >= B^2 there; the GHC layout hits that bound within 1 + o(1), exactly
 // as the paper states.
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "analysis/bounds.hpp"
@@ -89,29 +87,10 @@ void print_tables() {
   std::cout << b.str();
 }
 
-void BM_ExactBisection(benchmark::State& state) {
-  Graph g = layout::layout_kary(4, 2).graph;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::exact_bisection(g));
-  }
-}
-
-void BM_HeuristicBisection(benchmark::State& state) {
-  Graph g = layout::layout_hypercube(static_cast<std::uint32_t>(state.range(0))).graph;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::heuristic_bisection(g));
-  }
-}
-
-BENCHMARK(BM_ExactBisection)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_HeuristicBisection)->Arg(6)->Arg(8)->Unit(benchmark::kMillisecond);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

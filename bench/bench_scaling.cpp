@@ -3,8 +3,6 @@
 // max wire length (Sec. 3.2). We sweep the node box side and report the
 // wiring extents (unchanged) and the gross area (grows only by the node
 // term).
-#include <benchmark/benchmark.h>
-
 #include <iostream>
 
 #include "bench_util.hpp"
@@ -47,23 +45,10 @@ void print_tables() {
   std::cout << t2.str();
 }
 
-void BM_RealizeWithNodeSize(benchmark::State& state) {
-  Orthogonal2Layer o = layout::layout_hypercube(8);
-  const auto s = static_cast<std::uint32_t>(state.range(0));
-  for (auto _ : state) {
-    MultilayerLayout ml = realize(o, RealizeOptions{.L = 4, .node_size = s});
-    benchmark::DoNotOptimize(ml.geom.width);
-  }
-}
-
-BENCHMARK(BM_RealizeWithNodeSize)->Arg(16)->Arg(64);
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  mlvl::bench::parse_bench_flags(argc, argv);
+  mlvl::bench::parse_args(argc, argv);
   print_tables();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

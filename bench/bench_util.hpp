@@ -1,23 +1,23 @@
-// Shared helpers for the reproduction benches: realize + verify + measure,
-// consistent paper-vs-measured table emission, and the machine-readable
+// Shared helpers for the reproduction benches: argument parsing, the one
+// timing harness, realize + verify + measure, and the machine-readable
 // baseline recorder.
 //
-// Every `measure()` call that names a family contributes one record to
+// `record_wall` is the only timing loop: one discarded warmup call, then
+// `repeats` timed calls, summarized as {median, min, max, p95, stddev,
+// repeats} (schema "mlvl-bench-v2", with `wall_ms` = median so v1 consumers
+// keep working). Every `measure()` call that names a family, and every row
+// `bench_check` and `bench_sweep` record, contributes one record to
 // `BENCH_mlvl.json` ({family, L, nodes, wall statistics, area, wiring_area,
-// volume, max_wire, vias}). Wall times are no longer one-shot: each bench
-// point runs `warmup()` discarded iterations followed by `repeats()`
-// measured ones and records {median, min, max, p95, stddev, repeats}
-// (schema "mlvl-bench-v2", with `wall_ms` = median so v1 consumers keep
-// working). The file also carries an `env` block (compiler, build type,
-// flags, core count) so the bench-diff comparator can flag cross-toolchain
-// comparisons. The file is merge-on-write — each bench binary updates its
-// own families and preserves the rest — so running the whole suite produces
-// one consolidated baseline for CI to gate on with `layout_tool bench-diff`.
+// volume, max_wire, vias}). The file also carries an `env` block (compiler,
+// build type, flags, core count) so the bench-diff comparator can flag
+// cross-toolchain comparisons. The file is merge-on-write: each bench binary
+// updates its own families and preserves the rest, so running the whole
+// suite produces one consolidated baseline for CI to gate on with
+// `layout_tool bench-diff`.
 //
-// Knobs: `--repeats N` / `--warmup N` (strip with `parse_bench_flags` before
-// benchmark::Initialize) or the MLVL_BENCH_REPEATS / MLVL_BENCH_WARMUP
-// environment variables. `MLVL_BENCH_JSON` overrides the output path
-// (default: ./BENCH_mlvl.json).
+// Command line: `--repeats N` (1..1000, default 3) is the only flag; anything
+// else exits 3. `MLVL_BENCH_JSON` overrides the output path (default:
+// ./BENCH_mlvl.json).
 #pragma once
 
 #include <chrono>
@@ -48,62 +48,26 @@ struct Measured {
   LayoutMetrics metrics;
 };
 
-/// Repeat configuration for every measure() call in this process.
-/// Defaults come from MLVL_BENCH_REPEATS / MLVL_BENCH_WARMUP; `--repeats` /
-/// `--warmup` (via parse_bench_flags) override both.
-struct BenchConfig {
-  std::uint32_t repeats = 3;
-  std::uint32_t warmup = 1;
-};
+/// Timed calls per recorded point, set by `--repeats`.
+inline std::uint32_t repeats = 3;
 
-inline BenchConfig& config() {
-  static BenchConfig cfg = [] {
-    BenchConfig c;
-    auto env_u32 = [](const char* name, std::uint32_t fallback) {
-      const char* v = std::getenv(name);
-      if (v == nullptr || *v == '\0') return fallback;
+/// Parse a bench main's command line. `--repeats N` with N in 1..1000 is the
+/// only flag; anything else prints usage and exits 3 before a table is
+/// printed or a record is written.
+inline void parse_args(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--repeats" && i + 1 < argc) {
+      const char* v = argv[++i];
       char* end = nullptr;
       const unsigned long n = std::strtoul(v, &end, 10);
-      if (end != v && *end == '\0' && n >= 1 && n <= 1000)
-        return static_cast<std::uint32_t>(n);
-      // Falling back silently would let a typo (`MLVL_BENCH_REPEATS=1O`)
-      // measure with the default repeat count while the operator believes
-      // otherwise — say so, on stderr, and keep the bench running.
-      std::cerr << "bench: ignoring " << name << "='" << v
-                << "' (wants an integer in 1..1000); using " << fallback
-                << "\n";
-      return fallback;
-    };
-    c.repeats = env_u32("MLVL_BENCH_REPEATS", c.repeats);
-    c.warmup = env_u32("MLVL_BENCH_WARMUP", c.warmup);
-    return c;
-  }();
-  return cfg;
-}
-
-/// Strip `--repeats N` / `--warmup N` from argv (benchmark::Initialize
-/// rejects flags it does not know) and apply them to config(). Call first
-/// thing in main. Malformed values are ignored rather than fatal — a bench
-/// binary must never refuse to run over a harness knob.
-inline void parse_bench_flags(int& argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const bool is_repeats = arg == "--repeats";
-    const bool is_warmup = arg == "--warmup";
-    if ((is_repeats || is_warmup) && i + 1 < argc) {
-      char* end = nullptr;
-      const unsigned long n = std::strtoul(argv[i + 1], &end, 10);
-      if (end != argv[i + 1] && *end == '\0' && n >= 1 && n <= 1000) {
-        (is_repeats ? config().repeats : config().warmup) =
-            static_cast<std::uint32_t>(n);
+      if (end != v && *end == '\0' && n >= 1 && n <= 1000) {
+        repeats = static_cast<std::uint32_t>(n);
+        continue;
       }
-      ++i;  // consume the value either way
-      continue;
     }
-    argv[out++] = argv[i];
+    std::cerr << "usage: " << argv[0] << " [--repeats N]  (N in 1..1000)\n";
+    std::exit(3);
   }
-  argc = out;
 }
 
 /// One consolidated-baseline row: the paper's cost quantities for one
@@ -233,8 +197,20 @@ class BenchRecorder {
   bool dirty_ = false;
 };
 
-/// Fill a BenchRecord's wall statistics from repeat samples.
-inline void apply_wall_stats(BenchRecord& rec, std::vector<double> samples) {
+/// The timing harness: one discarded warmup call of `fn`, then `repeats`
+/// timed calls, whose wall statistics go into `rec`.
+template <typename Fn>
+void record_wall(BenchRecord& rec, Fn&& fn) {
+  fn();
+  std::vector<double> samples;
+  samples.reserve(repeats);
+  for (std::uint32_t i = 0; i < repeats; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    const auto t1 = std::chrono::steady_clock::now();
+    samples.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+  }
   const obs::SampleStats s = obs::summarize(std::move(samples));
   rec.wall_ms = s.median;
   rec.wall_min_ms = s.min;
@@ -244,48 +220,33 @@ inline void apply_wall_stats(BenchRecord& rec, std::vector<double> samples) {
   rec.repeats = s.repeats;
 }
 
-/// Realize at L layers, verify the geometry, and compute metrics. The timed
-/// region (realize + compute_metrics) runs config().warmup discarded
-/// iterations then config().repeats measured ones; the returned layout and
-/// metrics are from the final iteration, which is always checked (outside
-/// the timed region). Throws if the checker rejects the layout — a bench
-/// must never report numbers from invalid geometry. When
-/// `family` is non-null the repeat statistics are recorded into the
-/// consolidated BENCH_mlvl.json baseline.
+/// Realize at L layers, verify the geometry, and compute metrics. Throws if
+/// the checker rejects the layout: a bench must never report numbers from
+/// invalid geometry. When `family` is non-null, realize + compute_metrics
+/// runs under record_wall and the point lands in BENCH_mlvl.json; the
+/// checker runs outside the timed region, on the last call's layout.
 inline Measured measure(const Orthogonal2Layer& o, std::uint32_t L,
                         bool pack_extras = true,
                         const char* family = nullptr) {
-  const BenchConfig& cfg = config();
   const RealizeOptions opts{.L = L, .node_size = 0,
                             .pack_extras = pack_extras};
   Measured r;
-  // Anonymous measurements skip warmup/repeats: they are used inside
-  // google-benchmark loops, which do their own repetition.
-  const std::uint32_t warmup = family != nullptr ? cfg.warmup : 0;
-  const std::uint32_t repeats = family != nullptr ? cfg.repeats : 1;
-  for (std::uint32_t i = 0; i < warmup; ++i) {
+  auto run = [&] {
     r.ml = realize(o, opts);
     r.metrics = compute_metrics(r.ml, o.graph);
-  }
-  std::vector<double> samples;
-  samples.reserve(repeats);
-  for (std::uint32_t i = 0; i < repeats; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    r.ml = realize(o, opts);
-    r.metrics = compute_metrics(r.ml, o.graph);
-    const auto t1 = std::chrono::steady_clock::now();
-    samples.push_back(
-        std::chrono::duration<double, std::milli>(t1 - t0).count());
-  }
+  };
+  BenchRecord rec;
+  if (family != nullptr)
+    record_wall(rec, run);
+  else
+    run();
   const CheckReport res =
       Checker(o.graph, r.ml.geom, {.via_rule = r.ml.required_rule}).check();
   if (!res.ok) throw std::runtime_error("bench: invalid layout: " + res.error);
   if (family != nullptr) {
-    BenchRecord rec;
     rec.family = family;
     rec.L = L;
     rec.nodes = o.graph.num_nodes();
-    apply_wall_stats(rec, std::move(samples));
     rec.area = r.metrics.area;
     rec.wiring_area = r.metrics.wiring_area;
     rec.volume = r.metrics.volume;

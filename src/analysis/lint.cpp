@@ -15,49 +15,42 @@ namespace {
 
 using detail::LintEmit;
 
+/// One registry entry from its trace span `lint.<id>`: the id is the span
+/// past its "lint." prefix, so the two cannot drift apart.
+constexpr LintRuleInfo rule(LintRule r, Code code, const char* span,
+                            const char* what) {
+  return {r, code, span + 5, span, what};
+}
+
 constexpr LintRuleInfo kRegistry[] = {
-    {LintRule::kLayerParity, Code::kLintLayerParity, "layer-parity",
-     "horizontal runs ride odd layers, vertical runs even layers"},
-    {LintRule::kTurnViaGroup, Code::kLintTurnViaGroup, "turn-via-group",
-     "turn vias pair the two layers of one group g (2g+1 <-> 2g+2)"},
-    {LintRule::kViaSpanWide, Code::kLintViaSpanWide, "via-span-wide",
-     "turn vias span one boundary under the strict grid model"},
-    {LintRule::kThompsonKnockKnee, Code::kLintKnockKnee, "thompson-knock-knee",
-     "no two edges bend at one grid point in an L=2 layout"},
-    {LintRule::kTerminalRiserOfftrack, Code::kLintTerminalRiser,
-     "terminal-riser-offtrack",
-     "terminal risers land on a node box perimeter terminal"},
-    {LintRule::kZeroLengthSeg, Code::kLintZeroLengthSeg, "zero-length-seg",
-     "no degenerate single-point segments"},
-    {LintRule::kMergeableRuns, Code::kLintMergeableRuns, "mergeable-runs",
-     "no adjacent collinear same-edge same-layer runs"},
-    {LintRule::kRedundantVia, Code::kLintRedundantVia, "redundant-via",
-     "no overlapping same-edge via columns at one (x, y)"},
-    {LintRule::kDeadTrack, Code::kLintDeadTrack, "dead-track",
-     "no fully unused row or column inside the content box"},
-    {LintRule::kBboxSlack, Code::kLintBboxSlack, "bbox-slack",
-     "the declared bounding box is tight to the content"},
+    rule(LintRule::kLayerParity, Code::kLintLayerParity, "lint.layer-parity",
+         "horizontal runs ride odd layers, vertical runs even layers"),
+    rule(LintRule::kTurnViaGroup, Code::kLintTurnViaGroup,
+         "lint.turn-via-group",
+         "turn vias pair the two layers of one group g (2g+1 <-> 2g+2)"),
+    rule(LintRule::kViaSpanWide, Code::kLintViaSpanWide, "lint.via-span-wide",
+         "turn vias span one boundary under the strict grid model"),
+    rule(LintRule::kThompsonKnockKnee, Code::kLintKnockKnee,
+         "lint.thompson-knock-knee",
+         "no two edges bend at one grid point in an L=2 layout"),
+    rule(LintRule::kTerminalRiserOfftrack, Code::kLintTerminalRiser,
+         "lint.terminal-riser-offtrack",
+         "terminal risers land on a node box perimeter terminal"),
+    rule(LintRule::kZeroLengthSeg, Code::kLintZeroLengthSeg,
+         "lint.zero-length-seg", "no degenerate single-point segments"),
+    rule(LintRule::kMergeableRuns, Code::kLintMergeableRuns,
+         "lint.mergeable-runs",
+         "no adjacent collinear same-edge same-layer runs"),
+    rule(LintRule::kRedundantVia, Code::kLintRedundantVia, "lint.redundant-via",
+         "no overlapping same-edge via columns at one (x, y)"),
+    rule(LintRule::kDeadTrack, Code::kLintDeadTrack, "lint.dead-track",
+         "no fully unused row or column inside the content box"),
+    rule(LintRule::kBboxSlack, Code::kLintBboxSlack, "lint.bbox-slack",
+         "the declared bounding box is tight to the content"),
 };
 
 static_assert(std::size(kRegistry) == kNumLintRules,
               "registry must cover every LintRule");
-
-/// Each rule's trace span, `lint.<rule-id>`, in LintRule order (span names
-/// are stored by pointer, so they are literals).
-constexpr const char* kSpans[] = {
-    "lint.layer-parity",
-    "lint.turn-via-group",
-    "lint.via-span-wide",
-    "lint.thompson-knock-knee",
-    "lint.terminal-riser-offtrack",
-    "lint.zero-length-seg",
-    "lint.mergeable-runs",
-    "lint.redundant-via",
-    "lint.dead-track",
-    "lint.bbox-slack",
-};
-static_assert(std::size(kSpans) == kNumLintRules,
-              "every LintRule needs a trace span");
 
 }  // namespace
 
@@ -137,7 +130,7 @@ LintStats lint_layout(const Graph& g, const LayoutGeometry& geom,
     const std::size_t idx = static_cast<std::size_t>(info.rule);
     if (!cfg.enabled[idx]) continue;
     if (sink.full()) break;
-    obs::Span rule_span(kSpans[idx]);
+    obs::Span rule_span(info.span);
     rule_span.arg("records", records);
     const LintEmit emit = [&](Diagnostic d) {
       d.code = info.code;

@@ -58,6 +58,7 @@ struct LintRuleInfo {
   LintRule rule;
   Code code;          ///< diagnostic code this rule emits
   const char* id;     ///< stable kebab-case id (== code_name(code))
+  const char* span;   ///< trace span name, `lint.<id>`; `id` points into it
   const char* what;   ///< one line: the property the rule proves
 };
 

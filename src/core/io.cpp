@@ -111,8 +111,8 @@ constexpr bool blank(char c) { return c == ' ' || c == '\t' || c == '\r'; }
 // CR) and scanned in place; stepping back over a line resets the cursor.
 class Cursor {
  public:
-  Cursor(std::string_view text, std::uint32_t line)
-      : line(line), pos_(text.data()), end_(text.data() + text.size()) {}
+  explicit Cursor(std::string_view text)
+      : pos_(text.data()), end_(text.data() + text.size()) {}
 
   /// Advance to the next line; false at the end of the text.
   bool next() {
@@ -142,8 +142,6 @@ class Cursor {
   [[nodiscard]] std::string_view text() const {
     return {bol_, static_cast<std::size_t>(eol_ - bol_)};
   }
-  /// Where the text after the current line starts.
-  [[nodiscard]] const char* rest() const { return pos_; }
 
   /// True when the rest of the current line is blank.
   bool at_end() {
@@ -177,7 +175,7 @@ class Cursor {
     return true;
   }
 
-  std::uint32_t line;  ///< 1-based number of the current line
+  std::uint32_t line = 0;  ///< 1-based number of the current line
 
  private:
   void skip() {
@@ -318,24 +316,6 @@ bool scan_end(Cursor& c, DiagnosticSink* sink) {
   return false;
 }
 
-/// One section of a stream that may hold more: read the rest of the stream,
-/// scan the section, then put the stream just past it with one absolute
-/// seek so the next section reader starts there. A stream that cannot seek
-/// is left consumed.
-template <typename Scan>
-auto read_section(std::istream& is, std::uint32_t* line_io, Scan scan) {
-  const std::streampos start = is.tellg();
-  const std::string text = slurp(is);
-  Cursor c(text, line_io ? *line_io : 0);
-  auto out = scan(c);
-  if (line_io) *line_io = c.line;
-  if (start != std::streampos(-1)) {
-    is.clear();
-    is.seekg(start + static_cast<std::streamoff>(c.rest() - text.data()));
-  }
-  return out;
-}
-
 }  // namespace
 
 void write_graph(std::ostream& os, const Graph& g) {
@@ -350,25 +330,12 @@ void write_geometry(std::ostream& os, const LayoutGeometry& geom) {
   w.flush();
 }
 
-std::optional<Graph> read_graph(std::istream& is, DiagnosticSink* sink,
-                                std::uint32_t* line_io) {
-  return read_section(is, line_io,
-                      [&](Cursor& c) { return scan_graph(c, sink); });
-}
-
-std::optional<LayoutGeometry> read_geometry(std::istream& is,
-                                            DiagnosticSink* sink,
-                                            std::uint32_t* line_io) {
-  return read_section(is, line_io,
-                      [&](Cursor& c) { return scan_geometry(c, sink); });
-}
-
 std::optional<LoadedLayout> parse_layout(std::istream& is,
                                          DiagnosticSink* sink) {
   obs::Span span("io.parse");
   const std::string text = slurp(is);
   span.arg("bytes", std::uint64_t{text.size()});
-  Cursor c(text, 0);
+  Cursor c(text);
   std::optional<Graph> g = scan_graph(c, sink);
   if (!g) return std::nullopt;
   std::optional<LayoutGeometry> geom = scan_geometry(c, sink);

@@ -21,10 +21,7 @@
 //
 // Fields are separated by spaces, tabs or CRs; blank lines and a last line
 // without '\n' are allowed. `parse_layout` and `load_layout` read the stream
-// once and never seek it, so the input may be a pipe. `read_graph` and
-// `read_geometry` read one section of a stream that may hold more and seek
-// the stream back to just past it; only a seekable stream can continue to
-// the next section.
+// once and never seek it, so the input may be a pipe.
 #pragma once
 
 #include <iosfwd>
@@ -42,17 +39,6 @@ namespace mlvl::io {
 
 void write_graph(std::ostream& os, const Graph& g);
 void write_geometry(std::ostream& os, const LayoutGeometry& geom);
-
-/// Parse a graph; returns nullopt on malformed input. When `sink` is given,
-/// every failure is reported with its input line number; `line` (in/out,
-/// optional) threads the running line count across consecutive sections of
-/// one stream.
-[[nodiscard]] std::optional<Graph> read_graph(std::istream& is,
-                                              DiagnosticSink* sink = nullptr,
-                                              std::uint32_t* line = nullptr);
-[[nodiscard]] std::optional<LayoutGeometry> read_geometry(
-    std::istream& is, DiagnosticSink* sink = nullptr,
-    std::uint32_t* line = nullptr);
 
 struct LoadedLayout {
   Graph graph;

@@ -225,7 +225,7 @@ TEST(Diagnostics, ParseRoundTrip) {
 TEST(Diagnostics, BadHeaderReportsLineOne) {
   std::istringstream is("mlvl-gruph 1\nnodes 2\n");
   DiagnosticSink sink;
-  EXPECT_FALSE(io::read_graph(is, &sink).has_value());
+  EXPECT_FALSE(io::parse_layout(is, &sink).has_value());
   ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.first()->code, Code::kParseBadHeader);
   EXPECT_EQ(sink.first()->line, 1u);
@@ -235,7 +235,7 @@ TEST(Diagnostics, BadRecordReportsItsLine) {
   // Line 4 has a three-field edge record.
   std::istringstream is("mlvl-graph 1\nnodes 4\nedge 0 1\nedge 2 3 7\n");
   DiagnosticSink sink;
-  EXPECT_FALSE(io::read_graph(is, &sink).has_value());
+  EXPECT_FALSE(io::parse_layout(is, &sink).has_value());
   ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.first()->code, Code::kParseBadRecord);
   EXPECT_EQ(sink.first()->line, 4u);
@@ -245,7 +245,7 @@ TEST(Diagnostics, BadValueReportsItsLine) {
   // Line 3: edge endpoint beyond the declared node count.
   std::istringstream is("mlvl-graph 1\nnodes 2\nedge 0 5\n");
   DiagnosticSink sink;
-  EXPECT_FALSE(io::read_graph(is, &sink).has_value());
+  EXPECT_FALSE(io::parse_layout(is, &sink).has_value());
   ASSERT_EQ(sink.size(), 1u);
   EXPECT_EQ(sink.first()->code, Code::kParseBadValue);
   EXPECT_EQ(sink.first()->line, 3u);
@@ -309,7 +309,7 @@ TEST(Diagnostics, NulloptApiStillWorks) {
   // The historical sink-less API: nullopt on failure, value on success,
   // no diagnostics required anywhere.
   std::istringstream bad("not a layout\n");
-  EXPECT_FALSE(io::read_graph(bad).has_value());
+  EXPECT_FALSE(io::parse_layout(bad).has_value());
   std::istringstream good(valid_text());
   EXPECT_TRUE(io::parse_layout(good).has_value());
 }

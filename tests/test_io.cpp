@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <sstream>
 #include <streambuf>
@@ -16,18 +17,29 @@
 namespace mlvl {
 namespace {
 
+std::optional<io::LoadedLayout> parse(const Graph& g,
+                                      const LayoutGeometry& geom) {
+  std::stringstream ss;
+  io::write_graph(ss, g);
+  io::write_geometry(ss, geom);
+  return io::parse_layout(ss);
+}
+
+std::optional<io::LoadedLayout> parse(const std::string& text) {
+  std::istringstream ss(text);
+  return io::parse_layout(ss);
+}
+
 TEST(Io, GraphRoundTrip) {
   Graph g(5);
   g.add_edge(0, 1);
   g.add_edge(3, 4);
   g.add_edge(1, 4);
-  std::stringstream ss;
-  io::write_graph(ss, g);
-  auto back = io::read_graph(ss);
+  auto back = parse(g, LayoutGeometry{});
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->num_nodes(), 5u);
-  ASSERT_EQ(back->num_edges(), 3u);
-  for (EdgeId e = 0; e < 3; ++e) EXPECT_EQ(back->edge(e), g.edge(e));
+  EXPECT_EQ(back->graph.num_nodes(), 5u);
+  ASSERT_EQ(back->graph.num_edges(), 3u);
+  for (EdgeId e = 0; e < 3; ++e) EXPECT_EQ(back->graph.edge(e), g.edge(e));
 }
 
 TEST(Io, GeometryRoundTrip) {
@@ -38,18 +50,16 @@ TEST(Io, GeometryRoundTrip) {
   geom.boxes = {{1, 2, 3, 3, 0, 1}, {10, 2, 3, 3, 1, 5}};
   geom.segs = {{1, 1, 9, 1, 3, 0}, {4, 0, 4, 9, 2, 1}};
   geom.vias = {{4, 0, 1, 2, 1}};
-  std::stringstream ss;
-  io::write_geometry(ss, geom);
-  auto back = io::read_geometry(ss);
+  auto back = parse(Graph(2), geom);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->width, 30u);
-  EXPECT_EQ(back->num_layers, 6u);
-  ASSERT_EQ(back->boxes.size(), 2u);
-  EXPECT_EQ(back->boxes[1].layer, 5u);
-  ASSERT_EQ(back->segs.size(), 2u);
-  EXPECT_EQ(back->segs[0].x2, 9u);
-  ASSERT_EQ(back->vias.size(), 1u);
-  EXPECT_EQ(back->vias[0].z2, 2u);
+  EXPECT_EQ(back->geom.width, 30u);
+  EXPECT_EQ(back->geom.num_layers, 6u);
+  ASSERT_EQ(back->geom.boxes.size(), 2u);
+  EXPECT_EQ(back->geom.boxes[1].layer, 5u);
+  ASSERT_EQ(back->geom.segs.size(), 2u);
+  EXPECT_EQ(back->geom.segs[0].x2, 9u);
+  ASSERT_EQ(back->geom.vias.size(), 1u);
+  EXPECT_EQ(back->geom.vias[0].z2, 2u);
 }
 
 TEST(Io, FullLayoutRoundTripStaysValid) {
@@ -66,18 +76,37 @@ TEST(Io, FullLayoutRoundTripStaysValid) {
   EXPECT_EQ(loaded->geom.vias.size(), ml.geom.vias.size());
 }
 
+// A valid geometry section, appended to graph text so that only the graph
+// section can fail.
+constexpr const char* kGeom = "mlvl-geom 1\ndims 4 4 2\n";
+
+/// Parses `graph_text` + kGeom; expects one diagnostic with `code` at `line`.
+void expect_graph_error(const std::string& graph_text, Code code,
+                        std::uint32_t line) {
+  SCOPED_TRACE(graph_text);
+  std::istringstream ss(graph_text + kGeom);
+  DiagnosticSink sink;
+  EXPECT_FALSE(io::parse_layout(ss, &sink).has_value());
+  ASSERT_EQ(sink.size(), 1u);
+  EXPECT_EQ(sink.first()->code, code);
+  EXPECT_EQ(sink.first()->line, line);
+}
+
 TEST(Io, RejectsMalformedHeader) {
-  std::stringstream ss("mlvl-graph 2\nnodes 3\n");
-  EXPECT_FALSE(io::read_graph(ss).has_value());
-  std::stringstream ss2("not-a-tag 1\n");
-  EXPECT_FALSE(io::read_graph(ss2).has_value());
+  ASSERT_TRUE(
+      parse(std::string("mlvl-graph 1\nnodes 3\n") + kGeom).has_value());
+  expect_graph_error("mlvl-graph 2\nnodes 3\n", Code::kParseBadHeader, 1);
+  expect_graph_error("not-a-tag 1\n", Code::kParseBadHeader, 1);
 }
 
 TEST(Io, RejectsBadEdges) {
-  std::stringstream ss("mlvl-graph 1\nnodes 3\nedge 0 7\n");
-  EXPECT_FALSE(io::read_graph(ss).has_value());
-  std::stringstream ss2("mlvl-graph 1\nnodes 3\nedge 1 1\n");
-  EXPECT_FALSE(io::read_graph(ss2).has_value());
+  ASSERT_TRUE(
+      parse(std::string("mlvl-graph 1\nnodes 3\nedge 0 2\n") + kGeom)
+          .has_value());
+  expect_graph_error("mlvl-graph 1\nnodes 3\nedge 0 7\n",
+                     Code::kParseBadValue, 3);
+  expect_graph_error("mlvl-graph 1\nnodes 3\nedge 1 1\n",
+                     Code::kParseBadValue, 3);
 }
 
 TEST(Io, LoadMissingFileFails) {
@@ -85,21 +114,18 @@ TEST(Io, LoadMissingFileFails) {
 }
 
 TEST(Io, ConsecutiveSectionsParse) {
-  // Graph followed by geometry in one stream (the save_layout format).
+  // Graph followed by a geometry section that holds only its dims.
   Graph g(2);
   g.add_edge(0, 1);
   LayoutGeometry geom;
   geom.width = 4;
   geom.height = 4;
   geom.num_layers = 2;
-  std::stringstream ss;
-  io::write_graph(ss, g);
-  io::write_geometry(ss, geom);
-  auto g2 = io::read_graph(ss);
-  ASSERT_TRUE(g2.has_value());
-  auto geom2 = io::read_geometry(ss);
-  ASSERT_TRUE(geom2.has_value());
-  EXPECT_EQ(geom2->width, 4u);
+  auto back = parse(g, geom);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->graph.num_edges(), 1u);
+  EXPECT_EQ(back->geom.width, 4u);
+  EXPECT_TRUE(back->geom.segs.empty());
 }
 
 // The graph reader hands the line it does not own back to the stream; that

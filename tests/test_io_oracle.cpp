@@ -3,14 +3,12 @@
 // emit byte-identical text for every registered family at four layer counts
 // and for records at the ends of their field ranges; the reader must accept
 // and reject the same seeded mutations of real layout text, with the same
-// parsed layout and the same diagnostics (code, line, detail), both for a
-// whole layout and section by section.
+// parsed layout and the same diagnostics (code, line, detail).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <iterator>
 #include <limits>
 #include <random>
 #include <sstream>
@@ -158,33 +156,6 @@ std::string whole(const std::string& text, bool use_oracle) {
          fields(sink);
 }
 
-/// Graph then geometry through the section readers, threading the line
-/// count, and what each leaves of the stream.
-std::string sections(const std::string& text, bool use_oracle) {
-  std::stringstream is(text);
-  DiagnosticSink sink(64);
-  std::uint32_t line = 0;
-  std::string out;
-  auto rest = [&] {
-    const std::streampos at = is.tellg();
-    std::string r(std::istreambuf_iterator<char>(is), {});
-    is.seekg(at);
-    return " line " + std::to_string(line) + " rest " +
-           std::to_string(r.size()) + "\n";
-  };
-  const std::optional<Graph> g = use_oracle
-                                     ? oracle::read_graph(is, &sink, &line)
-                                     : io::read_graph(is, &sink, &line);
-  out += (g ? "graph " + std::to_string(g->num_edges()) : "no graph") + rest();
-  if (g) {
-    const std::optional<LayoutGeometry> geom =
-        use_oracle ? oracle::read_geometry(is, &sink, &line)
-                   : io::read_geometry(is, &sink, &line);
-    out += (geom ? oracle_text(*g, *geom) : "no geometry") + rest();
-  }
-  return out + fields(sink);
-}
-
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::size_t at = 0;
@@ -326,7 +297,6 @@ TEST(IoOracle, UnmutatedTextsParseIdentically) {
     const std::string got = whole(text, false);
     EXPECT_EQ(got, whole(text, true));
     EXPECT_EQ(got.rfind("ok\n" + text, 0), 0u);
-    EXPECT_EQ(sections(text, false), sections(text, true));
   }
 }
 
@@ -346,13 +316,6 @@ TEST(IoOracle, SeededMutationsParseIdentically) {
       ++disagreements;
       ADD_FAILURE() << "seed " << seed << " whole layout differs\n--- new\n"
                     << got << "--- oracle\n" << want;
-    }
-    const std::string got_s = sections(text, false);
-    const std::string want_s = sections(text, true);
-    if (got_s != want_s) {
-      ++disagreements;
-      ADD_FAILURE() << "seed " << seed << " sections differ\n--- new\n"
-                    << got_s << "--- oracle\n" << want_s;
     }
     if (disagreements > 5) break;
   }
