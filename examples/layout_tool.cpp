@@ -27,7 +27,6 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <new>
 #include <optional>
 #include <stdexcept>
@@ -143,23 +142,12 @@ void publish_sink_totals(const std::string& prefix,
   obs::gauge_set(prefix + ".evicted", static_cast<double>(sink.evicted()));
 }
 
-/// Per-span wall-time summary (verbosity >= 2) and raw dump (>= 3).
+/// Per-phase self time (verbosity >= 2) and the raw span dump (>= 3).
 void print_phase_summary(const obs::TraceSession& trace, int verbosity) {
-  const std::vector<obs::TraceEvent> events = trace.events();
-  std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_name;
-  for (const obs::TraceEvent& ev : events) {
-    auto& [count, total_us] = by_name[ev.name];
-    ++count;
-    total_us += ev.dur_us;
-  }
-  std::cout << "\npipeline phases (" << events.size() << " span(s)):\n";
-  analysis::Table t({"phase", "spans", "total_ms"});
-  for (const auto& [name, agg] : by_name)
-    t.begin_row().cell(name).cell(std::uint64_t(agg.first))
-        .cell(double(agg.second) / 1000.0, 3);
-  t.print(std::cout);
+  std::cout << "\n";
+  obs::profile_session(trace).write_text(std::cout);
   if (verbosity >= 3) {
-    for (const obs::TraceEvent& ev : events)
+    for (const obs::TraceEvent& ev : trace.events())
       std::cout << "  span " << ev.name << " tid=" << ev.tid
                 << " depth=" << ev.depth << " ts=" << ev.ts_us
                 << "us dur=" << ev.dur_us << "us\n";

@@ -4,16 +4,10 @@
 #include <stdexcept>
 #include <vector>
 
+#include "core/splitmix.hpp"
+
 namespace mlvl::analysis {
 namespace {
-
-std::uint64_t splitmix64(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
 
 std::uint64_t cut_size(const Graph& g, const std::vector<bool>& side) {
   std::uint64_t cut = 0;

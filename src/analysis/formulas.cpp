@@ -62,9 +62,6 @@ double hsn_path_wire(std::uint64_t N, std::uint32_t L) {
 double hypercube_area(std::uint64_t N, std::uint32_t L) {
   return 16.0 * dN(N) * dN(N) / (9.0 * l2(L));
 }
-double hypercube_volume(std::uint64_t N, std::uint32_t L) {
-  return hypercube_area(N, L) * L;
-}
 double hypercube_max_wire(std::uint64_t N, std::uint32_t L) {
   return 2.0 * dN(N) / (3.0 * L);
 }

@@ -30,7 +30,6 @@ double hsn_path_wire(std::uint64_t N, std::uint32_t L);
 
 /// Sec. 5.1 — hypercube, N = 2^n.
 double hypercube_area(std::uint64_t N, std::uint32_t L);
-double hypercube_volume(std::uint64_t N, std::uint32_t L);
 double hypercube_max_wire(std::uint64_t N, std::uint32_t L);
 
 /// Sec. 5.2 — CCC / reduced hypercube, N = n 2^n.

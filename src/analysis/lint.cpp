@@ -56,10 +56,6 @@ static_assert(std::size(kRegistry) == kNumLintRules,
 
 std::span<const LintRuleInfo> lint_registry() { return kRegistry; }
 
-const LintRuleInfo& lint_rule_info(LintRule r) {
-  return kRegistry[static_cast<std::size_t>(r)];
-}
-
 std::optional<LintRule> lint_rule_from_id(std::string_view id) {
   for (const LintRuleInfo& info : kRegistry)
     if (id == info.id) return info.rule;

@@ -64,7 +64,6 @@ struct LintRuleInfo {
 
 /// The whole registry, in LintRule order.
 [[nodiscard]] std::span<const LintRuleInfo> lint_registry();
-[[nodiscard]] const LintRuleInfo& lint_rule_info(LintRule r);
 [[nodiscard]] std::optional<LintRule> lint_rule_from_id(std::string_view id);
 
 /// Suppression baseline: the set of finding fingerprints that are known and

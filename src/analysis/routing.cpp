@@ -5,20 +5,10 @@
 #include <queue>
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
 #include "obs/trace.hpp"
 
 namespace mlvl::analysis {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 std::vector<std::uint64_t> wire_distances(
     const Graph& g, std::span<const std::uint32_t> edge_length, NodeId src) {

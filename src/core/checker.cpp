@@ -1291,29 +1291,12 @@ Occupancy scan_occupancy(const Graph& g, const LayoutGeometry& geom,
 
 // ---- Connectivity ----------------------------------------------------------
 
-/// A record as the box of grid points it covers, per axis (x, y, z). For
-/// connectivity a via covers its whole column under either via rule.
-struct Rec {
-  std::array<std::uint32_t, 3> lo, hi;
-};
-
-/// Sum of the per-axis gaps between two records: 0 when they share a
-/// point, 1 when they are 6-adjacent — either way one wire.
-std::int64_t gap(const Rec& a, const Rec& b) {
-  std::int64_t sum = 0;
-  for (std::size_t d = 0; d < 3; ++d)
-    sum += std::max<std::int64_t>(
-        {0, std::int64_t{a.lo[d]} - b.hi[d], std::int64_t{b.lo[d]} - a.hi[d]});
-  return sum;
-}
-
 /// The axis a record extends along (x for a single point).
-std::size_t axis_of(const Rec& r) {
+std::size_t axis_of(const RecordBox& r) {
   for (std::size_t d = 0; d < 3; ++d)
     if (r.lo[d] != r.hi[d]) return d;
   return 0;
 }
-
 
 /// Edges with at most this many records are joined by testing all pairs.
 constexpr std::size_t kDirectJoin = 16;
@@ -1321,7 +1304,7 @@ constexpr std::size_t kDirectJoin = 16;
 /// Parallel records on one axis `a`: runs on one line join when their gap
 /// along it is at most 1 (they fold into blocks), and blocks on lines one
 /// step apart join when they overlap.
-void join_parallel(std::span<const Rec> recs, std::size_t a, Dsu& dsu) {
+void join_parallel(std::span<const RecordBox> recs, std::size_t a, Dsu& dsu) {
   const std::size_t p = a == 0 ? 1 : 0;
   const std::size_t q = a == 2 ? 1 : 2;
   std::vector<std::uint32_t> ids;
@@ -1338,7 +1321,7 @@ void join_parallel(std::span<const Rec> recs, std::size_t a, Dsu& dsu) {
   };
   std::vector<Block> blocks;
   for (std::uint32_t i : ids) {
-    const Rec& r = recs[i];
+    const RecordBox& r = recs[i];
     if (!blocks.empty() && blocks.back().p == r.lo[p] &&
         blocks.back().q == r.lo[q] && r.lo[a] <= blocks.back().hi + 1) {
       dsu.unite(blocks.back().rep, i);
@@ -1438,8 +1421,8 @@ void cross_union(std::vector<Bar> hs, const std::vector<Bar>& vs, Dsu& dsu) {
 /// records in one plane join when their in-plane gap is at most 1 — a
 /// crossing once either side is stretched by 1 along its own axis — and
 /// records in adjacent planes when they cross exactly.
-void join_crossing(std::span<const Rec> recs, std::size_t a, std::size_t b,
-                   Dsu& dsu) {
+void join_crossing(std::span<const RecordBox> recs, std::size_t a,
+                   std::size_t b, Dsu& dsu) {
   const std::size_t c = 3 - a - b;
   struct Planar {
     std::uint32_t plane;
@@ -1447,7 +1430,7 @@ void join_crossing(std::span<const Rec> recs, std::size_t a, std::size_t b,
   };
   std::vector<Planar> hs, vs;
   for (std::uint32_t i = 0; i < recs.size(); ++i) {
-    const Rec& r = recs[i];
+    const RecordBox& r = recs[i];
     const std::size_t ax = axis_of(r);
     if (ax == a)
       hs.push_back({r.lo[c], {r.lo[b], r.lo[a], r.hi[a], i}});
@@ -1485,10 +1468,16 @@ void join_crossing(std::span<const Rec> recs, std::size_t a, std::size_t b,
   }
 }
 
-/// Unites every pair of records that touch or are 6-adjacent.
-void join_records(std::span<const Rec> recs, Dsu& dsu) {
+/// Unites every pair of records that touch or are 6-adjacent. The sweeps
+/// take lines only: a malformed segment, extending along two axes (the
+/// frame scan keeps those from the checker), sends all pairs to the gap test.
+void join_records(std::span<const RecordBox> recs, Dsu& dsu) {
   const auto n = static_cast<std::uint32_t>(recs.size());
-  if (n <= kDirectJoin) {
+  auto line = [](const RecordBox& r) {
+    return (r.lo[0] != r.hi[0]) + (r.lo[1] != r.hi[1]) +
+               (r.lo[2] != r.hi[2]) < 2;
+  };
+  if (n <= kDirectJoin || !std::all_of(recs.begin(), recs.end(), line)) {
     std::uint32_t joins = 0;  // n - 1 joins leave one component
     for (std::uint32_t i = 0; i < n; ++i)
       for (std::uint32_t j = i + 1; j < n; ++j)
@@ -1502,21 +1491,30 @@ void join_records(std::span<const Rec> recs, Dsu& dsu) {
   join_crossing(recs, 1, 2, dsu);
 }
 
-/// True iff `r` covers a point of box `b` on the box's layer, with the
-/// same (wrapping) bounds as NodeBox::contains.
-bool meets(const Rec& r, const NodeBox& b) {
-  if (b.layer < r.lo[2] || b.layer > r.hi[2]) return false;
-  const std::uint32_t xe = b.x + b.w;
-  const std::uint32_t ye = b.y + b.h;
-  return b.x < xe && r.lo[0] < xe && r.hi[0] >= b.x && b.y < ye &&
-         r.lo[1] < ye && r.hi[1] >= b.y;
+/// Phase 3's terminal test: kEdgeMissesTerminal at the first endpoint box,
+/// u's then v's, that `reaches(box, end)` denies (end 0 is u, 1 is v).
+template <class Reaches>
+std::optional<Diagnostic> missed_terminal(
+    const Graph& g, EdgeId e, const std::vector<const NodeBox*>& box_of,
+    Reaches reaches) {
+  const NodeBox* const ends[] = {box_of[g.edge(e).u], box_of[g.edge(e).v]};
+  for (int end = 0; end < 2; ++end)
+    if (const NodeBox* b = ends[end]; b && !reaches(*b, end))
+      return Diagnostic{.code = Code::kEdgeMissesTerminal,
+                        .has_point = true,
+                        .x = b->x,
+                        .y = b->y,
+                        .layer = b->layer,
+                        .edge = e,
+                        .node = b->node};
+  return std::nullopt;
 }
 
 /// Phase 3 for one edge: at most one diagnostic (unrouted, disconnected, or
 /// misses-terminal). The component holding the lowest point is the root;
 /// a stranded record is named by its lowest corner.
 std::optional<Diagnostic> verify_edge(const Graph& g, EdgeId e,
-                                      std::span<const Rec> recs,
+                                      std::span<const RecordBox> recs,
                                       const std::vector<const NodeBox*>& box_of,
                                       Dsu& dsu) {
   if (recs.empty()) return Diagnostic{.code = Code::kEdgeUnrouted, .edge = e};
@@ -1537,29 +1535,39 @@ std::optional<Diagnostic> verify_edge(const Graph& g, EdgeId e,
     return at_point(key_x(stranded), key_y(stranded), key_z(stranded),
                     {.code = Code::kEdgeDisconnected, .edge = e});
 
-  const Edge& ed = g.edge(e);
-  const NodeBox* bu = box_of[ed.u];
-  const NodeBox* bv = box_of[ed.v];
-  auto touched = [&](const NodeBox* b) {
+  return missed_terminal(g, e, box_of, [&](const NodeBox& b, int) {
     return std::any_of(recs.begin(), recs.end(),
-                       [&](const Rec& r) { return meets(r, *b); });
-  };
-  const NodeBox* missing = nullptr;
-  if (bu && !touched(bu))
-    missing = bu;
-  else if (bv && !touched(bv))
-    missing = bv;
-  if (missing == nullptr) return std::nullopt;
-  return Diagnostic{.code = Code::kEdgeMissesTerminal,
-                    .has_point = true,
-                    .x = missing->x,
-                    .y = missing->y,
-                    .layer = missing->layer,
-                    .edge = e,
-                    .node = missing->node};
+                       [&](const RecordBox& r) { return meets(r, b); });
+  });
 }
 
 }  // namespace
+
+std::int64_t gap(const RecordBox& a, const RecordBox& b) {
+  std::int64_t sum = 0;
+  for (std::size_t d = 0; d < 3; ++d)
+    sum += std::max<std::int64_t>(
+        {0, std::int64_t{a.lo[d]} - b.hi[d], std::int64_t{b.lo[d]} - a.hi[d]});
+  return sum;
+}
+
+bool meets(const RecordBox& r, const NodeBox& b) {
+  if (b.layer < r.lo[2] || b.layer > r.hi[2]) return false;
+  const std::uint32_t xe = b.x + b.w;
+  const std::uint32_t ye = b.y + b.h;
+  return b.x < xe && r.lo[0] < xe && r.hi[0] >= b.x && b.y < ye &&
+         r.lo[1] < ye && r.hi[1] >= b.y;
+}
+
+bool connected(std::span<const RecordBox> recs) {
+  Dsu dsu;
+  dsu.reset(recs.size());
+  join_records(recs, dsu);
+  // Unions keep the lower index as root, so one component is rooted at 0.
+  for (std::uint32_t i = 0; i < recs.size(); ++i)
+    if (dsu.find(i) != 0) return false;
+  return true;
+}
 
 Checker::Checker(const Graph& g, const LayoutGeometry& geom, CheckOptions opt)
     : g_(g), geom_(geom), opt_(opt) {}
@@ -1640,15 +1648,15 @@ CheckReport Checker::check(DiagnosticSink& sink) {
       if (const std::uint32_t i = slow_of(v.edge); i != kNoId) ++first[i + 1];
     for (std::size_t i = 0; i < slow; ++i) first[i + 1] += first[i];
   }
-  std::vector<Rec> recs(first.back());
+  std::vector<RecordBox> recs(first.back());
   if (slow != 0) {
     std::vector<std::uint32_t> fill(first.begin(), first.end() - 1);
     for (const WireSeg& s : geom_.segs)
       if (const std::uint32_t i = slow_of(s.edge); i != kNoId)
-        recs[fill[i]++] = {{s.x1, s.y1, s.layer}, {s.x2, s.y2, s.layer}};
+        recs[fill[i]++] = RecordBox::of(s);
     for (const Via& v : geom_.vias)
       if (const std::uint32_t i = slow_of(v.edge); i != kNoId)
-        recs[fill[i]++] = {{v.x, v.y, v.z1}, {v.x, v.y, v.z2}};
+        recs[fill[i]++] = RecordBox::of(v);
   }
   phase.arg("records", occ.records);
   phase.arg("edges", num_edges);
@@ -1658,29 +1666,18 @@ CheckReport Checker::check(DiagnosticSink& sink) {
     if (!fr.edge_frame_ok[e]) continue;
     if (const std::uint32_t i = slot[e]; i != kNoId) {
       poll_cancellation("check");
-      const std::span<const Rec> mine(recs.data() + first[i],
-                                      first[i + 1] - first[i]);
+      const std::span<const RecordBox> mine(recs.data() + first[i],
+                                            first[i + 1] - first[i]);
       if (auto d = verify_edge(g_, e, mine, fr.box_of, dsu))
         reporter(std::move(*d));
       continue;
     }
-    // Connected: the terminal test, as verify_edge makes it.
-    const Edge& ed = g_.edge(e);
-    const NodeBox* bu = fr.box_of[ed.u];
-    const NodeBox* bv = fr.box_of[ed.v];
-    const NodeBox* missing = nullptr;
-    if (bu && !(occ.touches[e] & 1))
-      missing = bu;
-    else if (bv && !(occ.touches[e] & 2))
-      missing = bv;
-    if (missing != nullptr)
-      reporter({.code = Code::kEdgeMissesTerminal,
-                .has_point = true,
-                .x = missing->x,
-                .y = missing->y,
-                .layer = missing->layer,
-                .edge = e,
-                .node = missing->node});
+    // Connected: the terminal test, from the box contacts.
+    auto touched = [&](const NodeBox&, int end) {
+      return ((occ.touches[e] >> end) & 1) != 0;
+    };
+    if (auto d = missed_terminal(g_, e, fr.box_of, touched))
+      reporter(std::move(*d));
   }
   return finalize();
 }

@@ -22,12 +22,15 @@
 // points. Runs are grouped by grid line and swept as intervals, vias are
 // runs along z crossed with the wires of their y- and x-planes, H×V
 // crossings come from an orthogonal-segment sweep per layer, and
-// connectivity is a union-find over each edge's records. Work grows with records (plus reported overlaps),
-// not with wire length or area. A pass is one serial sweep on the calling
-// thread, and its diagnostic sequence depends only on the input.
+// connectivity is a union-find over each edge's records. Work grows with
+// records (plus reported overlaps), not with wire length or area. A pass is
+// one serial sweep on the calling thread, and its diagnostic sequence
+// depends only on the input.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,12 +81,39 @@ class Checker {
   /// First-failure convenience: capacity-1 sink, report carries the error.
   CheckReport check();
 
-  [[nodiscard]] const CheckOptions& options() const { return opt_; }
-
  private:
   const Graph& g_;
   const LayoutGeometry& geom_;
   CheckOptions opt_;
 };
+
+// Record predicates: the grid model's adjacency and connectivity, as the
+// connectivity phase decides them. Fault injection uses them too.
+
+/// A record as the box of grid points it covers, per axis (x, y, z); a via
+/// covers its whole column. Empty (lo > hi on some axis) covers nothing.
+struct RecordBox {
+  std::array<std::uint32_t, 3> lo, hi;
+
+  static RecordBox of(const WireSeg& s) {
+    return {{s.x1, s.y1, s.layer}, {s.x2, s.y2, s.layer}};
+  }
+  static RecordBox of(const Via& v) {
+    return {{v.x, v.y, v.z1}, {v.x, v.y, v.z2}};
+  }
+  [[nodiscard]] bool empty() const {
+    return lo[0] > hi[0] || lo[1] > hi[1] || lo[2] > hi[2];
+  }
+};
+
+/// Sum of the per-axis gaps between two non-empty records: 0 when they
+/// share a point, 1 when they are 6-adjacent — either way one wire.
+[[nodiscard]] std::int64_t gap(const RecordBox& a, const RecordBox& b);
+/// True iff non-empty `r` covers a point of box `b` on the box's layer,
+/// with the same (wrapping) bounds as NodeBox::contains.
+[[nodiscard]] bool meets(const RecordBox& r, const NodeBox& b);
+/// True iff the non-empty records form one 6-connected point set.
+/// O(n log n) for n lines; a record that is no line joins all pairs.
+[[nodiscard]] bool connected(std::span<const RecordBox> recs);
 
 }  // namespace mlvl

@@ -1,6 +1,6 @@
-// Packed 3-D grid-point keys shared by the checker, the fault injector and
-// the repair router. 20 bits per x/y coordinate (the checker rejects larger
-// layouts up front), layer in the high bits so sorting groups by layer.
+// Packed 3-D grid-point keys shared by the checker and the repair router.
+// 20 bits per x/y coordinate (the checker rejects larger layouts up
+// front), layer in the high bits so sorting groups by layer.
 #pragma once
 
 #include <cstdint>

@@ -125,8 +125,6 @@ class BatchLayoutEngine {
   /// later batches on this engine are skipped too. Safe from any thread.
   void request_cancel() { external_cancel_.cancel("engine cancelled"); }
 
-  [[nodiscard]] const SweepOptions& options() const { return opt_; }
-
  private:
   // Concurrency model (details in DESIGN.md §7.10). The engine itself holds
   // no mutex: run() is single-caller by contract (one batch at a time), and

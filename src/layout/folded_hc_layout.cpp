@@ -2,20 +2,10 @@
 
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
 #include "layout/hypercube_layout.hpp"
 
 namespace mlvl::layout {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
 
 Orthogonal2Layer layout_folded_hypercube(std::uint32_t n) {
   Orthogonal2Layer o = layout_hypercube(n);

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
 #include <thread>
-
-#include "obs/run_context.hpp"
 
 namespace mlvl::obs {
 
@@ -56,16 +53,6 @@ BuildEnv capture_build_env() {
 #endif
   env.cores = std::thread::hardware_concurrency();
   return env;
-}
-
-void write_build_env_json(std::ostream& os, const BuildEnv& env) {
-  os << "{\"compiler\": \"";
-  write_json_escaped(os, env.compiler);
-  os << "\", \"build_type\": \"";
-  write_json_escaped(os, env.build_type);
-  os << "\", \"flags\": \"";
-  write_json_escaped(os, env.flags);
-  os << "\", \"cores\": " << env.cores << "}";
 }
 
 }  // namespace mlvl::obs

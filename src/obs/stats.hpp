@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -44,9 +43,5 @@ struct BuildEnv {
 
 /// Capture the environment this library was compiled into / is running on.
 [[nodiscard]] BuildEnv capture_build_env();
-
-/// Emit `env` as the canonical JSON object every flight-recorder artifact
-/// shares: {"compiler": ..., "build_type": ..., "flags": ..., "cores": N}.
-void write_build_env_json(std::ostream& os, const BuildEnv& env);
 
 }  // namespace mlvl::obs

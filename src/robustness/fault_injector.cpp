@@ -1,111 +1,172 @@
 #include "robustness/fault_injector.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <numeric>
+#include <span>
 #include <utility>
 #include <vector>
 
-#include "core/gridkey.hpp"
+#include "core/checker.hpp"
+#include "core/geometry_index.hpp"
+#include "core/splitmix.hpp"
 
 namespace mlvl::robustness {
 namespace {
 
-using grid::key3;
-using grid::key_x;
-using grid::key_y;
-using grid::key_z;
+constexpr std::uint32_t kNone = ~std::uint32_t{0};
 
-constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+/// The layout's wire records grouped by edge id, by one counting sort per
+/// inject call: record r < segs.size() is segment r, the rest are the vias
+/// in order. Ids past the graph's edges share one last group. The operators
+/// state their preconditions on these records with the checker's own
+/// predicates (gap, meets, connected).
+class EdgeRecords {
+ public:
+  EdgeRecords(const Graph& g, const LayoutGeometry& geom)
+      : geom_(geom),
+        first_(g.num_edges() + 2, 0),
+        ids_(geom.segs.size() + geom.vias.size()) {
+    for (std::uint32_t r = 0; r < ids_.size(); ++r)
+      ++first_[group(edge(r)) + 1];
+    std::partial_sum(first_.begin(), first_.end(), first_.begin());
+    std::vector<std::uint32_t> fill(first_);
+    for (std::uint32_t r = 0; r < ids_.size(); ++r)
+      ids_[fill[group(edge(r))]++] = r;
+  }
+  /// Whether edge `e` of the graph has records, covering points or not.
+  [[nodiscard]] bool routed(EdgeId e) const { return !of(e).empty(); }
+  /// The records of edge `e` but record `skip` that cover a point (one
+  /// that covers none touches nothing), into `out`.
+  std::vector<RecordBox>& rest(EdgeId e, std::uint32_t skip,
+                               std::vector<RecordBox>& out) const {
+    out.clear();
+    const std::size_t ns = geom_.segs.size();
+    for (std::uint32_t r : of(e)) {
+      const RecordBox b = r < ns ? RecordBox::of(geom_.segs[r])
+                                 : RecordBox::of(geom_.vias[r - ns]);
+      if (r != skip && edge(r) == e && !b.empty()) out.push_back(b);
+    }
+    return out;
+  }
 
-std::uint64_t splitmix64(std::uint64_t& s) {
-  s += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = s;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
+ private:
+  [[nodiscard]] EdgeId edge(std::uint32_t r) const {
+    return r < geom_.segs.size() ? geom_.segs[r].edge
+                                 : geom_.vias[r - geom_.segs.size()].edge;
+  }
+  [[nodiscard]] std::size_t group(EdgeId e) const {
+    return std::min<std::size_t>(e, first_.size() - 2);
+  }
+  [[nodiscard]] std::span<const std::uint32_t> of(EdgeId e) const {
+    return std::span(ids_).subspan(first_[group(e)],
+                                   first_[group(e) + 1] - first_[group(e)]);
+  }
+
+  const LayoutGeometry& geom_;
+  std::vector<std::uint32_t> first_;  ///< per group, into ids_
+  std::vector<std::uint32_t> ids_;    ///< record ids, grouped by edge
+};
+
+/// True when `r` covers a point within `reach` of some record of `recs`:
+/// 0 asks for a shared point, 1 also takes a 6-adjacent one.
+bool near(const RecordBox& r, std::span<const RecordBox> recs,
+          std::int64_t reach) {
+  return !r.empty() &&
+         std::any_of(recs.begin(), recs.end(),
+                     [&](const RecordBox& q) { return gap(r, q) <= reach; });
 }
 
-/// All grid points of edge `e`, optionally excluding one segment or via (by
-/// index into geom.segs / geom.vias), sorted and deduplicated. Via columns
-/// are expanded in full — vias always connect, whatever the via rule.
-std::vector<std::uint64_t> edge_cells(const LayoutGeometry& geom, EdgeId e,
-                                      std::size_t skip_seg = kNone,
-                                      std::size_t skip_via = kNone) {
-  std::vector<std::uint64_t> cells;
-  for (std::size_t i = 0; i < geom.segs.size(); ++i) {
-    const WireSeg& s = geom.segs[i];
-    if (s.edge != e || i == skip_seg) continue;
-    for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-        cells.push_back(key3(xx, yy, s.layer));
-  }
-  for (std::size_t i = 0; i < geom.vias.size(); ++i) {
-    const Via& v = geom.vias[i];
-    if (v.edge != e || i == skip_via) continue;
-    for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-      cells.push_back(key3(v.x, v.y, zz));
-  }
-  std::sort(cells.begin(), cells.end());
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  return cells;
+bool meets_any(std::span<const RecordBox> recs, const NodeBox& b) {
+  return std::any_of(recs.begin(), recs.end(),
+                     [&](const RecordBox& r) { return meets(r, b); });
 }
 
-/// True when the sorted point set forms one 6-connected component.
-bool one_component(const std::vector<std::uint64_t>& p) {
-  if (p.size() <= 1) return true;
-  auto has = [&](std::uint64_t k) {
-    return std::binary_search(p.begin(), p.end(), k);
+/// Boxes stabbed along one axis: each item sits in the O(log n) nodes of a
+/// segment tree that cover its [lo, hi] range on that axis exactly, and
+/// each node holds its items' (key, x-range, owner) entries in one array,
+/// sorted by key, then x.
+class Stabber {
+ public:
+  struct Entry {
+    std::uint32_t key, x1, x2 = 0;
+    std::int64_t owner = 0;   ///< edge id, or -1 for a node box
+    std::uint32_t reach = 0;  ///< max x2 over this key's entries so far
+    bool operator<(const Entry& o) const {
+      return std::pair(key, x1) < std::pair(o.key, o.x1);
+    }
   };
-  std::vector<std::uint64_t> stack{p[0]};
-  std::vector<bool> seen(p.size(), false);
-  seen[0] = true;
-  std::size_t reached = 1;
-  while (!stack.empty()) {
-    const std::uint64_t k = stack.back();
-    stack.pop_back();
-    const std::uint32_t x = key_x(k), y = key_y(k), z = key_z(k);
-    const std::uint64_t nbr[6] = {x > 0 ? key3(x - 1, y, z) : k,
-                                  key3(x + 1, y, z),
-                                  y > 0 ? key3(x, y - 1, z) : k,
-                                  key3(x, y + 1, z),
-                                  z > 0 ? key3(x, y, z - 1) : k,
-                                  key3(x, y, z + 1)};
-    for (std::uint64_t nk : nbr) {
-      if (nk == k || !has(nk)) continue;
-      const std::size_t idx =
-          std::lower_bound(p.begin(), p.end(), nk) - p.begin();
-      if (!seen[idx]) {
-        seen[idx] = true;
-        ++reached;
-        stack.push_back(nk);
-      }
+  struct Item {
+    std::uint64_t lo, hi;  ///< range on the stabbed axis
+    Entry entry;
+  };
+
+  explicit Stabber(const std::vector<Item>& items) {
+    for (const Item& it : items) {
+      bounds_.push_back(it.lo);
+      bounds_.push_back(it.hi + 1);
+    }
+    std::sort(bounds_.begin(), bounds_.end());
+    bounds_.erase(std::unique(bounds_.begin(), bounds_.end()), bounds_.end());
+    leaves_ = std::bit_ceil(std::max<std::size_t>(bounds_.size(), 1));
+    auto leaf = [&](std::uint64_t v) {
+      return leaves_ + (std::lower_bound(bounds_.begin(), bounds_.end(), v) -
+                        bounds_.begin());
+    };
+    // Count each node's entries, then fill its slice of one array.
+    auto place = [&](auto visit) {
+      for (const Item& it : items)
+        for (std::size_t l = leaf(it.lo), h = leaf(it.hi + 1); l < h;
+             l >>= 1, h >>= 1) {
+          if (l & 1) visit(l++, it.entry);
+          if (h & 1) visit(--h, it.entry);
+        }
+    };
+    first_.assign(2 * leaves_ + 1, 0);
+    place([&](std::size_t n, const Entry&) { ++first_[n + 1]; });
+    std::partial_sum(first_.begin(), first_.end(), first_.begin());
+    entries_.resize(first_.back());
+    std::vector<std::uint32_t> fill(first_);
+    place([&](std::size_t n, const Entry& e) { entries_[fill[n]++] = e; });
+    for (std::size_t n = 0; n + 1 < first_.size(); ++n) {
+      const auto b = entries_.begin() + first_[n];
+      const auto e = entries_.begin() + first_[n + 1];
+      std::sort(b, e);
+      for (auto it = b; it != e; ++it)
+        it->reach = std::max(it->x2, it != b && it[-1].key == it->key
+                                         ? it[-1].reach : 0);
     }
   }
-  return reached == p.size();
-}
 
-/// True when `k` or any of its 6 neighbours is in the sorted set `p`.
-bool touches(const std::vector<std::uint64_t>& p, std::uint64_t k) {
-  auto has = [&](std::uint64_t q) {
-    return std::binary_search(p.begin(), p.end(), q);
-  };
-  if (has(k)) return true;
-  const std::uint32_t x = key_x(k), y = key_y(k), z = key_z(k);
-  if (x > 0 && has(key3(x - 1, y, z))) return true;
-  if (has(key3(x + 1, y, z))) return true;
-  if (y > 0 && has(key3(x, y - 1, z))) return true;
-  if (has(key3(x, y + 1, z))) return true;
-  if (z > 0 && has(key3(x, y, z - 1))) return true;
-  if (has(key3(x, y, z + 1))) return true;
-  return false;
-}
+  /// True when an item whose range holds `at`, with key `key` and an
+  /// x-range meeting [x1, x2], has an owner other than `own`.
+  [[nodiscard]] bool hit(std::uint32_t at, std::uint32_t key,
+                         std::uint32_t x1, std::uint32_t x2,
+                         EdgeId own) const {
+    const auto leaf = std::upper_bound(bounds_.begin(), bounds_.end(), at);
+    if (x1 > x2 || leaf == bounds_.begin() || leaf == bounds_.end())
+      return false;
+    auto foreign = [own](const Entry& e) { return e.owner != own; };
+    for (std::size_t n = leaves_ + (leaf - bounds_.begin()) - 1; n > 0;
+         n >>= 1) {
+      const auto end = entries_.begin() + first_[n + 1];
+      const auto same =
+          std::lower_bound(entries_.begin() + first_[n], end, Entry{key, 0});
+      // Back from the last entry starting by x2, while some entry before
+      // still reaches x1.
+      for (auto it = std::upper_bound(same, end, Entry{key, x2});
+           it != same && it[-1].reach >= x1;)
+        if (--it; it->x2 >= x1 && foreign(*it)) return true;
+    }
+    return false;
+  }
 
-std::vector<std::uint64_t> seg_cells(const WireSeg& s) {
-  std::vector<std::uint64_t> cells;
-  for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-    for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-      cells.push_back(key3(xx, yy, s.layer));
-  return cells;
-}
+ private:
+  std::vector<std::uint64_t> bounds_;  ///< leaf i: [bounds_[i], bounds_[i+1])
+  std::size_t leaves_ = 1;
+  std::vector<std::uint32_t> first_;  ///< per tree node, into entries_
+  std::vector<Entry> entries_;
+};
 
 /// Seeded iteration order over n candidates: a rotation starting at a
 /// seed-dependent offset, so different seeds pick different sites but every
@@ -129,8 +190,11 @@ std::optional<InjectedFault> made(FaultKind kind, std::string note) {
 
 // --- geometry operators ----------------------------------------------------
 
-std::optional<InjectedFault> shift_segment(const Graph&, LayoutGeometry& geom,
+std::optional<InjectedFault> shift_segment(const Graph& g,
+                                           LayoutGeometry& geom,
                                            std::uint64_t seed) {
+  const EdgeRecords recs(g, geom);
+  std::vector<RecordBox> rest;
   Rotation rot(geom.segs.size(), seed);
   for (std::size_t i; rot.next(i);) {
     WireSeg& s = geom.segs[i];
@@ -150,11 +214,8 @@ std::optional<InjectedFault> shift_segment(const Graph&, LayoutGeometry& geom,
         moved.x1 = static_cast<std::uint32_t>(moved.x1 + delta);
         moved.x2 = static_cast<std::uint32_t>(moved.x2 + delta);
       }
-      const auto rest = edge_cells(geom, s.edge, /*skip_seg=*/i);
-      if (rest.empty()) continue;
-      const auto cells = seg_cells(moved);
-      if (std::any_of(cells.begin(), cells.end(),
-                      [&](std::uint64_t k) { return touches(rest, k); }))
+      if (recs.rest(s.edge, i, rest).empty()) continue;
+      if (near(RecordBox::of(moved), rest, 1))
         continue;  // still attached: disconnection not guaranteed
       s = moved;
       return made(FaultKind::kShiftSegmentOffTrack,
@@ -165,9 +226,11 @@ std::optional<InjectedFault> shift_segment(const Graph&, LayoutGeometry& geom,
   return std::nullopt;
 }
 
-std::optional<InjectedFault> swap_segment_layer(const Graph&,
+std::optional<InjectedFault> swap_segment_layer(const Graph& g,
                                                 LayoutGeometry& geom,
                                                 std::uint64_t seed) {
+  const EdgeRecords recs(g, geom);
+  std::vector<RecordBox> rest;
   Rotation rot(geom.segs.size(), seed);
   for (std::size_t i; rot.next(i);) {
     WireSeg& s = geom.segs[i];
@@ -177,12 +240,8 @@ std::optional<InjectedFault> swap_segment_layer(const Graph&,
       if (nl < 1 || nl > static_cast<int>(geom.num_layers)) continue;
       WireSeg moved = s;
       moved.layer = static_cast<std::uint16_t>(nl);
-      const auto rest = edge_cells(geom, s.edge, /*skip_seg=*/i);
-      if (rest.empty()) continue;
-      const auto cells = seg_cells(moved);
-      if (std::any_of(cells.begin(), cells.end(),
-                      [&](std::uint64_t k) { return touches(rest, k); }))
-        continue;
+      if (recs.rest(s.edge, i, rest).empty()) continue;
+      if (near(RecordBox::of(moved), rest, 1)) continue;
       s = moved;
       return made(FaultKind::kSwapSegmentLayer,
                   "seg " + std::to_string(i) + " moved to layer " +
@@ -196,17 +255,14 @@ std::optional<InjectedFault> relabel_segment(const Graph& g,
                                              LayoutGeometry& geom,
                                              std::uint64_t seed) {
   if (g.num_edges() < 2) return std::nullopt;
+  const EdgeRecords recs(g, geom);
+  std::vector<RecordBox> rest;
   Rotation rot(geom.segs.size(), seed);
   for (std::size_t i; rot.next(i);) {
     WireSeg& s = geom.segs[i];
-    const auto rest = edge_cells(geom, s.edge, /*skip_seg=*/i);
-    const auto cells = seg_cells(s);
     // The relabelled segment must still share a point with its old edge
     // (a via junction) so the two edge ids provably collide there.
-    if (!std::any_of(cells.begin(), cells.end(), [&](std::uint64_t k) {
-          return std::binary_search(rest.begin(), rest.end(), k);
-        }))
-      continue;
+    if (!near(RecordBox::of(s), recs.rest(s.edge, i, rest), 0)) continue;
     const EdgeId old = s.edge;
     s.edge = (s.edge + 1) % g.num_edges();
     return made(FaultKind::kRelabelSegment,
@@ -226,7 +282,7 @@ std::optional<InjectedFault> diagonal_segment(const Graph&,
     if (s.y2 + 1 < geom.height)
       ++s.y2;
     else if (s.y1 > 0)
-      --s.y1;  // de-normalizes (y1 > y2): equally malformed
+      --s.y1;  // grows the run a row up instead: equally malformed
     else
       continue;
     return made(FaultKind::kDiagonalSegment,
@@ -241,26 +297,23 @@ std::optional<InjectedFault> drop_via(const Graph& g, LayoutGeometry& geom,
   // model makes z-neighbours adjacent), so the provable drop site is a
   // terminal via: the one anchor of the wire inside a node box. Removing it
   // leaves the wire connected but short of its terminal.
+  const EdgeRecords recs(g, geom);
+  const BoxIndex boxes(geom.boxes);
+  std::vector<RecordBox> rest;
   Rotation rot(geom.vias.size(), seed);
   for (std::size_t i; rot.next(i);) {
     const Via& v = geom.vias[i];
     if (v.edge >= g.num_edges()) continue;
     const Edge& ed = g.edge(v.edge);
-    const NodeBox* term = nullptr;
-    for (const NodeBox& b : geom.boxes)
-      if ((b.node == ed.u || b.node == ed.v) && b.layer >= v.z1 &&
-          b.layer <= v.z2 && b.contains(v.x, v.y)) {
-        term = &b;
-        break;
-      }
-    if (!term) continue;
-    const auto rest = edge_cells(geom, v.edge, kNone, /*skip_via=*/i);
-    if (rest.empty() || !one_component(rest)) continue;
-    const bool still_touches =
-        std::any_of(rest.begin(), rest.end(), [&](std::uint64_t k) {
-          return key_z(k) == term->layer && term->contains(key_x(k), key_y(k));
-        });
-    if (still_touches) continue;
+    const std::uint32_t t = boxes.find(v.x, v.y, [&](std::uint32_t b) {
+      const NodeBox& box = geom.boxes[b];
+      return (box.node == ed.u || box.node == ed.v) && box.layer >= v.z1 &&
+             box.layer <= v.z2;
+    });
+    if (t == BoxIndex::kNone) continue;
+    const NodeBox* term = &geom.boxes[t];
+    recs.rest(v.edge, geom.segs.size() + i, rest);
+    if (rest.empty() || !connected(rest) || meets_any(rest, *term)) continue;
     const std::string note = "terminal via " + std::to_string(i) +
                              " of edge " + std::to_string(v.edge) +
                              " dropped (node " + std::to_string(term->node) +
@@ -275,9 +328,7 @@ std::optional<InjectedFault> duplicate_via_foreign(const Graph& g,
                                                    LayoutGeometry& geom,
                                                    std::uint64_t seed) {
   if (g.num_edges() < 2 || geom.vias.empty()) return std::nullopt;
-  Rotation rot(geom.vias.size(), seed);
-  std::size_t i = 0;
-  rot.next(i);
+  const std::size_t i = Rotation(geom.vias.size(), seed).start;
   Via copy = geom.vias[i];
   copy.edge = (copy.edge + 1) % g.num_edges();
   geom.vias.push_back(copy);
@@ -289,36 +340,28 @@ std::optional<InjectedFault> duplicate_via_foreign(const Graph& g,
 std::optional<InjectedFault> truncate_via_span(const Graph& g,
                                                LayoutGeometry& geom,
                                                std::uint64_t seed) {
+  const EdgeRecords recs(g, geom);
+  const BoxIndex boxes(geom.boxes);
+  std::vector<RecordBox> rest;
   Rotation rot(geom.vias.size(), seed);
   for (std::size_t i; rot.next(i);) {
     Via& v = geom.vias[i];
     if (v.z1 != 1 || v.z2 - v.z1 < 2) continue;
     // Which terminal box does the via's layer-1 point sit in?
-    const NodeBox* term = nullptr;
     const Edge& ed = g.edge(v.edge);
-    for (const NodeBox& b : geom.boxes)
-      if ((b.node == ed.u || b.node == ed.v) && b.layer == 1 &&
-          b.contains(v.x, v.y)) {
-        term = &b;
-        break;
-      }
-    if (!term) continue;
+    const std::uint32_t t = boxes.find(v.x, v.y, [&](std::uint32_t b) {
+      const NodeBox& box = geom.boxes[b];
+      return (box.node == ed.u || box.node == ed.v) && box.layer == 1;
+    });
+    if (t == BoxIndex::kNone) continue;
+    const NodeBox* term = &geom.boxes[t];
     // After cutting off the layer-1 point: the wire must stay connected (else
     // the declared code would be kEdgeDisconnected) and nothing else of the
     // edge may still touch the box.
     Via cut = v;
     ++cut.z1;
-    std::vector<std::uint64_t> cells = edge_cells(geom, v.edge, kNone, i);
-    for (std::uint32_t zz = cut.z1; zz <= cut.z2; ++zz)
-      cells.push_back(key3(v.x, v.y, zz));
-    std::sort(cells.begin(), cells.end());
-    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-    if (!one_component(cells)) continue;
-    const bool still_touches =
-        std::any_of(cells.begin(), cells.end(), [&](std::uint64_t k) {
-          return key_z(k) == term->layer && term->contains(key_x(k), key_y(k));
-        });
-    if (still_touches) continue;
+    recs.rest(v.edge, geom.segs.size() + i, rest).push_back(RecordBox::of(cut));
+    if (!connected(rest) || meets_any(rest, *term)) continue;
     ++v.z1;
     return made(FaultKind::kTruncateViaSpan,
                 "terminal via " + std::to_string(i) + " of edge " +
@@ -332,9 +375,7 @@ std::optional<InjectedFault> invert_via_span(const Graph&,
                                              LayoutGeometry& geom,
                                              std::uint64_t seed) {
   if (geom.vias.empty()) return std::nullopt;
-  Rotation rot(geom.vias.size(), seed);
-  std::size_t i = 0;
-  rot.next(i);
+  const std::size_t i = Rotation(geom.vias.size(), seed).start;
   geom.vias[i].z1 = 0;  // below layer 1: z-range invalid
   return made(FaultKind::kInvertViaSpan,
               "via " + std::to_string(i) + " z1 zeroed");
@@ -343,30 +384,28 @@ std::optional<InjectedFault> invert_via_span(const Graph&,
 std::optional<InjectedFault> steal_terminal(const Graph& g,
                                             LayoutGeometry& geom,
                                             std::uint64_t seed) {
+  const EdgeRecords recs(g, geom);
+  std::vector<RecordBox> rest;
+  std::vector<EdgeId> inside;  // edges at the box's node with wire in it
   Rotation rot(geom.boxes.size(), seed);
   for (std::size_t i; rot.next(i);) {
     NodeBox& bi = geom.boxes[i];
     const NodeId a = bi.node;
     if (a >= g.num_nodes()) continue;
+    inside.clear();
+    for (EdgeId e : g.incident_edges(a))
+      if (meets_any(recs.rest(e, kNone, rest), bi)) inside.push_back(e);
+    if (inside.empty()) continue;
     for (std::size_t j = 0; j < geom.boxes.size(); ++j) {
       NodeBox& bj = geom.boxes[j];
       const NodeId b = bj.node;
       if (j == i || b == a) continue;
       // Some edge at `a` that does not also end at `b` must have wire inside
       // bi; after the swap that wire sits in a box labelled `b` — theft.
-      bool provable = false;
-      for (EdgeId e : g.incident_edges(a)) {
-        const Edge& ed = g.edge(e);
-        if (ed.u == b || ed.v == b) continue;
-        const auto cells = edge_cells(geom, e);
-        if (std::any_of(cells.begin(), cells.end(), [&](std::uint64_t k) {
-              return key_z(k) == bi.layer && bi.contains(key_x(k), key_y(k));
-            })) {
-          provable = true;
-          break;
-        }
-      }
-      if (!provable) continue;
+      if (std::none_of(inside.begin(), inside.end(), [&](EdgeId e) {
+            return g.edge(e).u != b && g.edge(e).v != b;
+          }))
+        continue;
       std::swap(bi.node, bj.node);
       return made(FaultKind::kStealTerminal,
                   "boxes of nodes " + std::to_string(a) + " and " +
@@ -401,9 +440,7 @@ std::optional<InjectedFault> overlap_boxes(const Graph&, LayoutGeometry& geom,
 std::optional<InjectedFault> duplicate_box(const Graph&, LayoutGeometry& geom,
                                            std::uint64_t seed) {
   if (geom.boxes.empty()) return std::nullopt;
-  Rotation rot(geom.boxes.size(), seed);
-  std::size_t i = 0;
-  rot.next(i);
+  const std::size_t i = Rotation(geom.boxes.size(), seed).start;
   geom.boxes.push_back(geom.boxes[i]);
   return made(FaultKind::kDuplicateNodeBox,
               "box of node " + std::to_string(geom.boxes[i].node) +
@@ -413,9 +450,7 @@ std::optional<InjectedFault> duplicate_box(const Graph&, LayoutGeometry& geom,
 std::optional<InjectedFault> push_box_out(const Graph&, LayoutGeometry& geom,
                                           std::uint64_t seed) {
   if (geom.boxes.empty()) return std::nullopt;
-  Rotation rot(geom.boxes.size(), seed);
-  std::size_t i = 0;
-  rot.next(i);
+  const std::size_t i = Rotation(geom.boxes.size(), seed).start;
   geom.boxes[i].x = geom.width;  // x + w > width, whatever w is
   return made(FaultKind::kPushBoxOutOfBounds,
               "box of node " + std::to_string(geom.boxes[i].node) +
@@ -435,15 +470,11 @@ std::optional<InjectedFault> shrink_bounds(const Graph&, LayoutGeometry& geom,
 std::optional<InjectedFault> unroute_edge(const Graph& g, LayoutGeometry& geom,
                                           std::uint64_t seed) {
   if (g.num_edges() == 0) return std::nullopt;
+  const EdgeRecords recs(g, geom);
   Rotation rot(g.num_edges(), seed);
   for (std::size_t i; rot.next(i);) {
     const EdgeId e = static_cast<EdgeId>(i);
-    const bool routed =
-        std::any_of(geom.segs.begin(), geom.segs.end(),
-                    [e](const WireSeg& s) { return s.edge == e; }) ||
-        std::any_of(geom.vias.begin(), geom.vias.end(),
-                    [e](const Via& v) { return v.edge == e; });
-    if (!routed) continue;
+    if (!recs.routed(e)) continue;
     std::erase_if(geom.segs, [e](const WireSeg& s) { return s.edge == e; });
     std::erase_if(geom.vias, [e](const Via& v) { return v.edge == e; });
     return made(FaultKind::kUnrouteEdge,
@@ -458,68 +489,54 @@ std::optional<InjectedFault> demote_to_wrong_layer(const Graph& g,
                                                    LayoutGeometry& geom,
                                                    std::uint64_t seed) {
   // Move a horizontal run to an even layer while provably keeping the layout
-  // checker-valid: every target cell must be free of foreign geometry and of
-  // node boxes, and the edge must stay one connected component that still
-  // reaches both terminal boxes. The result breaks only the Sec. 2.4 layer
-  // discipline — Code::kLintLayerParity, which the Checker never emits.
-  std::vector<std::pair<std::uint64_t, EdgeId>> occ;
+  // checker-valid: the moved run must share no point with foreign geometry
+  // or a node box, and the edge must stay one connected component that
+  // still reaches both terminal boxes. The result breaks only the Sec. 2.4
+  // layer discipline — Code::kLintLayerParity, which the Checker never emits.
+  // What a run moved onto layer z, row y, would share a point with: the
+  // segments and node boxes by rows, keyed by layer; the vias by layers,
+  // keyed by row.
+  const EdgeRecords recs(g, geom);
+  std::vector<Stabber::Item> planar, columns;
   for (const WireSeg& s : geom.segs)
-    for (std::uint32_t yy = s.y1; yy <= s.y2; ++yy)
-      for (std::uint32_t xx = s.x1; xx <= s.x2; ++xx)
-        occ.emplace_back(key3(xx, yy, s.layer), s.edge);
+    if (const RecordBox r = RecordBox::of(s); !r.empty())
+      planar.push_back({r.lo[1], r.hi[1], {s.layer, s.x1, s.x2, s.edge}});
+  for (const NodeBox& b : geom.boxes)
+    if (b.x < b.x + b.w && b.y < b.y + b.h)  // as NodeBox::contains wraps
+      planar.push_back(
+          {b.y, b.y + b.h - 1, {b.layer, b.x, b.x + b.w - 1, -1}});
   for (const Via& v : geom.vias)
-    for (std::uint32_t zz = v.z1; zz <= v.z2; ++zz)
-      occ.emplace_back(key3(v.x, v.y, zz), v.edge);
-  std::sort(occ.begin(), occ.end());
-  auto blocked = [&](std::uint64_t k, EdgeId own) {
-    auto it = std::lower_bound(occ.begin(), occ.end(),
-                               std::make_pair(k, EdgeId{0}));
-    for (; it != occ.end() && it->first == k; ++it)
-      if (it->second != own) return true;
-    return false;
-  };
-  auto in_any_box = [&](std::uint32_t x, std::uint32_t y, std::uint32_t z) {
-    return std::any_of(geom.boxes.begin(), geom.boxes.end(),
-                       [&](const NodeBox& b) {
-                         return b.layer == z && b.contains(x, y);
-                       });
-  };
-
+    if (v.z1 <= v.z2) columns.push_back({v.z1, v.z2, {v.y, v.x, v.x, v.edge}});
+  const Stabber by_row(planar), by_layer(columns);
+  std::vector<std::pair<NodeId, std::uint32_t>> by_node;  // (node, box)
+  for (std::uint32_t b = 0; b < geom.boxes.size(); ++b)
+    by_node.emplace_back(geom.boxes[b].node, b);
+  std::sort(by_node.begin(), by_node.end());
+  std::vector<RecordBox> wire;
   Rotation rot(geom.segs.size(), seed);
   for (std::size_t i; rot.next(i);) {
     WireSeg& s = geom.segs[i];
     if (!s.horizontal() || s.x1 == s.x2 || s.layer % 2 == 0) continue;
     for (std::uint32_t l2 = 2; l2 <= geom.num_layers; l2 += 2) {
-      bool free = true;
-      for (std::uint32_t xx = s.x1; xx <= s.x2 && free; ++xx)
-        free = !blocked(key3(xx, s.y1, l2), s.edge) &&
-               !in_any_box(xx, s.y1, l2);
-      if (!free) continue;
+      if (by_row.hit(s.y1, l2, s.x1, s.x2, s.edge) ||
+          by_layer.hit(l2, s.y1, s.x1, s.x2, s.edge))
+        continue;
+      RecordBox run = RecordBox::of(s);
+      run.lo[2] = run.hi[2] = l2;
+      recs.rest(s.edge, i, wire);
+      if (!run.empty()) wire.push_back(run);
+      // Both terminal boxes must still be reached on their active layer.
+      const Edge& ed = g.edge(s.edge);
+      auto reached = [&](NodeId end) {
+        for (auto it = std::lower_bound(by_node.begin(), by_node.end(),
+                                        std::pair(end, 0u));
+             it != by_node.end() && it->first == end; ++it)
+          if (meets_any(wire, geom.boxes[it->second])) return true;
+        return false;
+      };
+      if (!connected(wire) || !reached(ed.u) || !reached(ed.v)) continue;
       const std::uint16_t old_layer = s.layer;
       s.layer = static_cast<std::uint16_t>(l2);
-      const auto cells = edge_cells(geom, s.edge);
-      bool valid = one_component(cells);
-      if (valid) {
-        // Both terminal boxes must still be reached on their active layer.
-        const Edge& ed = g.edge(s.edge);
-        for (NodeId end : {ed.u, ed.v}) {
-          bool reached = false;
-          for (const NodeBox& b : geom.boxes) {
-            if (b.node != end) continue;
-            reached = std::any_of(
-                cells.begin(), cells.end(), [&](std::uint64_t k) {
-                  return key_z(k) == b.layer &&
-                         b.contains(key_x(k), key_y(k));
-                });
-            if (reached) break;
-          }
-          valid = valid && reached;
-        }
-      }
-      if (!valid) {
-        s.layer = old_layer;
-        continue;
-      }
       return made(FaultKind::kDemoteToWrongLayer,
                   "seg " + std::to_string(i) + " of edge " +
                       std::to_string(s.edge) + " demoted from layer " +

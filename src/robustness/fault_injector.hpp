@@ -6,8 +6,9 @@
 // for it. The guarantee is constructive: operators search seeded candidate
 // sites and verify a purely geometric precondition (e.g. "this via is the
 // wire's only anchor inside its terminal box") before mutating, so the
-// declared code never
-// depends on luck. This turns ad-hoc mutation tests into a provable
+// declared code never depends on luck. The preconditions are decided on
+// records with the checker's own predicates (RecordBox, gap, meets,
+// connected in core/checker.hpp), never on expanded grid points. This turns ad-hoc mutation tests into a provable
 // detection matrix: for every FaultKind, inject then verify that the
 // declared code is among the reported diagnostics.
 #pragma once

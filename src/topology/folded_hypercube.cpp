@@ -2,24 +2,10 @@
 
 #include <stdexcept>
 
+#include "core/splitmix.hpp"
 #include "topology/hypercube.hpp"
 
 namespace mlvl::topo {
-namespace {
-
-std::uint64_t splitmix64(std::uint64_t& state) {
-  state += 0x9e3779b97f4a7c15ull;
-  std::uint64_t z = state;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-}  // namespace
-
-EdgeId hypercube_edge_count(std::uint32_t n) {
-  return static_cast<EdgeId>(n) << (n - 1);  // n * 2^n / 2
-}
 
 Graph make_folded_hypercube(std::uint32_t n) {
   if (n < 2 || n > 20)

@@ -15,8 +15,4 @@ namespace mlvl::topo {
 /// reproducible. Self-targets are re-rolled.
 [[nodiscard]] Graph make_enhanced_cube(std::uint32_t n, std::uint64_t seed);
 
-/// Index of the first extra (non-hypercube) edge in the graphs above; edges
-/// [0, extra_begin) are the hypercube edges.
-[[nodiscard]] EdgeId hypercube_edge_count(std::uint32_t n);
-
 }  // namespace mlvl::topo

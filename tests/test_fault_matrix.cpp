@@ -5,14 +5,18 @@
 // corruptions a hand-written test happened to think of.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/lint.hpp"
 #include "core/checker.hpp"
 #include "core/io.hpp"
 #include "core/multilayer.hpp"
+#include "layout/ccc_layout.hpp"
 #include "layout/ghc_layout.hpp"
 #include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
@@ -142,6 +146,84 @@ TEST(FaultMatrix, LintFaultIsInvisibleToCheckerButCaughtByLinter) {
     }
   }
   EXPECT_TRUE(applied) << "demote-to-wrong-layer applied to no fixture/seed";
+}
+
+std::uint64_t fnv1a(std::uint64_t h, std::string_view s) {
+  for (unsigned char c : s) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+/// Folds one inject call into `h`: whether it applied, its note and the
+/// geometry it left, as mlvl text.
+std::uint64_t fold(std::uint64_t h,
+                   const std::optional<robustness::InjectedFault>& fault,
+                   const LayoutGeometry& geom) {
+  h = fnv1a(h, fault ? "+" + fault->note : "-");
+  std::ostringstream os;
+  io::write_geometry(os, geom);
+  return fnv1a(h, os.str());
+}
+
+// Every geometry operator picks the same site and writes the same bytes as
+// the point-expanding operators these values were recorded from. `single`
+// folds each operator at seeds 0..7 on the pristine layout; `chain` folds
+// chains of three faults, kinds and seeds drawn from a fixed generator, so
+// later operators meet the records earlier ones broke (two-row diagonal
+// runs, vias from z = 0, relabelled and duplicated records, moved boxes).
+TEST(FaultMatrix, GeometryOperatorsPinned) {
+  struct Pin {
+    const char* name;
+    Orthogonal2Layer (*build)();
+    std::uint32_t L;
+    std::uint64_t single, chain;
+  };
+  const Pin pins[] = {
+      {"hypercube(6) L=2", [] { return layout::layout_hypercube(6); }, 2,
+       0xec76f0985ebab2f6ULL, 0x83797fdfe2292c7ULL},
+      {"hypercube(6) L=8", [] { return layout::layout_hypercube(6); }, 8,
+       0x25b89025ed9d3a8fULL, 0x6aa0a80f8d19ed05ULL},
+      {"ghc(4,3) L=2", [] { return layout::layout_ghc(4, 3); }, 2,
+       0x223586154d061101ULL, 0xab2c57927e18cc27ULL},
+      {"ghc(4,3) L=8", [] { return layout::layout_ghc(4, 3); }, 8,
+       0x10f4b1ae48182960ULL, 0x3dd2e42d664920a8ULL},
+      {"kary(6,3) L=2", [] { return layout::layout_kary(6, 3); }, 2,
+       0x777b6cec15dc8922ULL, 0x64bca668c486694eULL},
+      {"ccc(4) L=3", [] { return layout::layout_ccc(4); }, 3,
+       0xe62d8cfc39812fffULL, 0xc4a82516521a90b4ULL},
+  };
+  std::vector<FaultKind> kinds;
+  for (FaultKind k : robustness::all_faults())
+    if (!robustness::is_text_fault(k)) kinds.push_back(k);
+  for (const Pin& p : pins) {
+    const Orthogonal2Layer o = p.build();
+    const MultilayerLayout ml = realize(o, {.L = p.L});
+    std::uint64_t single = 0xcbf29ce484222325ULL;
+    for (FaultKind k : kinds)
+      for (std::uint64_t seed = 0; seed < 8; ++seed) {
+        LayoutGeometry geom = ml.geom;
+        const auto fault = robustness::inject(k, o.graph, geom, seed);
+        single = fold(single, fault, geom);
+      }
+    std::uint64_t chain = 0xcbf29ce484222325ULL;
+    std::uint64_t draw = 0x9e3779b97f4a7c15ULL;
+    auto next = [&draw] {
+      draw = draw * 6364136223846793005ULL + 1442695040888963407ULL;
+      return draw >> 33;
+    };
+    for (int c = 0; c < 24; ++c) {
+      LayoutGeometry geom = ml.geom;
+      for (int step = 0; step < 3; ++step) {
+        const FaultKind k = kinds[next() % kinds.size()];
+        const auto fault = robustness::inject(k, o.graph, geom, next());
+        chain = fold(chain, fault, geom);
+      }
+    }
+    EXPECT_EQ(single, p.single) << p.name << ": 0x" << std::hex << single;
+    EXPECT_EQ(chain, p.chain) << p.name << ": 0x" << std::hex << chain;
+  }
 }
 
 TEST(FaultMatrix, EveryTextOperatorTriggersItsDeclaredCode) {
