@@ -218,7 +218,10 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
     return kExitParseError;
   }
 
-  DiagnosticSink sink(256);
+  // Repair's capacity: when nothing is dropped, repair's first pass takes
+  // these diagnostics instead of checking the same geometry again.
+  const robustness::RepairOptions repair_opt{.rule = chk.via_rule};
+  DiagnosticSink sink(repair_opt.max_diagnostics);
   Checker checker(loaded->graph, loaded->geom, {.via_rule = chk.via_rule});
   const CheckReport report = checker.check(sink);
   publish_sink_totals("doctor", sink);
@@ -243,9 +246,9 @@ int run_doctor(const std::vector<std::string>& args, const CommonOptions& copt,
   }
   if (!do_repair) return kExitInvalid;
 
-  robustness::RepairReport rep =
-      robustness::repair_layout(loaded->graph, loaded->geom,
-                                {.rule = chk.via_rule});
+  robustness::RepairReport rep = robustness::repair_layout(
+      loaded->graph, loaded->geom, repair_opt,
+      sink.dropped() == 0 ? &sink.diagnostics() : nullptr);
   if (copt.loud())
     std::cout << "\nrepair: " << rep.ripped.size() << " edge(s) ripped, "
               << rep.rerouted.size() << " re-routed, " << rep.failed.size()

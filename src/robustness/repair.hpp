@@ -15,6 +15,9 @@
 // (DESIGN.md §7.13), and the router answers its free-cell and box questions
 // from bit planes of the 64 x 64 tiles its searches touch, filled from the
 // records crossing them (§7.3): neither costs in proportion to the area.
+// Its BFS skips cells whose depth plus distance to the target exceeds a
+// growing bound, and so finds the plain BFS's path without flooding the
+// grid around the source.
 #pragma once
 
 #include <cstdint>
@@ -32,8 +35,12 @@ struct RepairOptions {
   ViaRule rule = ViaRule::kBlocking;
   std::uint32_t max_passes = 3;          ///< rip-up/re-route/re-verify rounds
   std::size_t max_diagnostics = 512;     ///< per-pass collection budget
-  /// Router give-up threshold: free cells entered per edge before declaring
-  /// it unroutable (bounds worst-case work on dense or adversarial layouts).
+  /// Router give-up threshold: free cells one search try may enter before
+  /// the edge is declared unroutable (bounds worst-case work on dense or
+  /// adversarial layouts). A try enters no more cells than the plain BFS
+  /// enters before it reaches the target, so every route the plain BFS
+  /// finishes within this budget still finishes, by the same path; a
+  /// route makes at most ceil(log2(width + height + layers)) + 1 tries.
   std::uint64_t max_search_cells = 4u << 20;
 };
 
@@ -51,7 +58,12 @@ struct RepairReport {
 
 /// Repair `geom` in place. Never throws on bad geometry; the report says
 /// exactly what was fixed and what was not.
+///
+/// `checked`, when given, must be what a collect-all check of `geom` as
+/// passed (same via rule) left in a sink of `opt.max_diagnostics` capacity
+/// that dropped nothing: pass 1 then uses it instead of checking again.
 RepairReport repair_layout(const Graph& g, LayoutGeometry& geom,
-                           const RepairOptions& opt = {});
+                           const RepairOptions& opt = {},
+                           const std::vector<Diagnostic>* checked = nullptr);
 
 }  // namespace mlvl::robustness

@@ -313,6 +313,8 @@ TEST(Obs, LintRuleAndRepairSpansCarryCounters) {
   EXPECT_GT(arg(*index, "records"), 0u);
   EXPECT_LT(arg(*index, "records"), records);  // edge 3 was unrouted
   EXPECT_EQ(arg(*route, "routes"), 1u);
+  // At least one goal-bounded search per route; more when the bound grew.
+  EXPECT_GE(arg(*route, "tries"), arg(*route, "routes"));
   EXPECT_GT(arg(*route, "cells_visited"), 0u);
   // hypercube(4) fits in one 64 x 64 tile.
   EXPECT_EQ(arg(*route, "tiles"), 1u);

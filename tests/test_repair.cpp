@@ -7,6 +7,8 @@
 #include <algorithm>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 
 #include "core/checker.hpp"
 #include "core/io.hpp"
@@ -14,6 +16,7 @@
 #include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "robustness/fault_injector.hpp"
 #include "robustness/repair.hpp"
 
@@ -196,6 +199,72 @@ TEST(Repair, RepairedLayoutRoundTripsThroughSerialization) {
       Checker(loaded->graph, loaded->geom, {.via_rule = f.ml.required_rule})
           .check();
   EXPECT_TRUE(res.ok) << res.error;
+}
+
+/// Repaired wires and every report field, as one comparable string.
+std::string outcome(const LayoutGeometry& geom,
+                    const robustness::RepairReport& rep) {
+  std::ostringstream os;
+  for (const WireSeg& s : geom.segs)
+    os << 's' << s.edge << ':' << s.x1 << ',' << s.y1 << ',' << s.x2 << ','
+       << s.y2 << ',' << s.layer << ' ';
+  for (const Via& v : geom.vias)
+    os << 'v' << v.edge << ':' << v.x << ',' << v.y << ',' << v.z1 << ','
+       << v.z2 << ' ';
+  os << "| ok " << rep.ok << " passes " << rep.passes;
+  for (const auto* ids : {&rep.ripped, &rep.rerouted, &rep.failed}) {
+    os << " |";
+    for (EdgeId e : *ids) os << ' ' << e;
+  }
+  for (const auto* ds : {&rep.unrepairable, &rep.remaining}) {
+    os << " |";
+    for (const Diagnostic& d : *ds)
+      os << ' ' << static_cast<int>(d.code) << '/' << d.edge << '/'
+         << d.edge2 << '/' << d.x << ',' << d.y << ',' << d.layer;
+  }
+  return std::move(os).str();
+}
+
+std::size_t check_spans(const obs::TraceSession& session) {
+  std::size_t n = 0;
+  for (const obs::TraceEvent& ev : session.events())
+    if (std::string_view(ev.name) == "check") ++n;
+  return n;
+}
+
+// layout_tool --doctor hands its own check to repair. Given what a complete
+// check of the same geometry reported, pass 1 checks nothing and the repair
+// equals the one that checks for itself.
+TEST(Repair, CallersCompleteCheckReplacesPassOne) {
+  Fixture f;
+  const robustness::RepairOptions opt{.rule = f.ml.required_rule};
+  int handed = 0;
+  for (FaultKind k : robustness::all_faults()) {
+    if (robustness::is_text_fault(k)) continue;
+    for (std::uint64_t seed : {1ull, 2ull, 5ull}) {
+      LayoutGeometry geom = f.ml.geom;
+      if (!robustness::inject(k, f.o.graph, geom, seed)) continue;
+      const std::string ctx =
+          std::string(robustness::fault_name(k)) + " seed " +
+          std::to_string(seed);
+      DiagnosticSink sink(opt.max_diagnostics);
+      Checker(f.o.graph, geom, {.via_rule = opt.rule}).check(sink);
+      ASSERT_EQ(sink.dropped(), 0u) << ctx;
+
+      LayoutGeometry own = geom, given = geom;
+      obs::TraceSession own_trace, given_trace;
+      own_trace.install();
+      const auto want = robustness::repair_layout(f.o.graph, own, opt);
+      given_trace.install();
+      const auto got = robustness::repair_layout(f.o.graph, given, opt,
+                                                 &sink.diagnostics());
+      obs::TraceSession::uninstall();
+      EXPECT_EQ(outcome(given, got), outcome(own, want)) << ctx;
+      EXPECT_EQ(check_spans(given_trace) + 1, check_spans(own_trace)) << ctx;
+      ++handed;
+    }
+  }
+  EXPECT_GT(handed, 40);
 }
 
 // The router buckets records under the 64 x 64 tiles they cross, so

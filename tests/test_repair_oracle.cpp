@@ -1,12 +1,17 @@
-// Differential proof of the tiled-bitmap repair router and the box lookups
-// against the point-hashing references (repair_oracle.hpp): across the fault
-// matrix on four families, three layer counts and both via rules, across
-// random small layouts (same-edge overlapping runs, collisions, stacked
-// boxes), across layouts that span several 64 x 64 router tiles (the
-// doctor benchmark's layouts, random ones with boxes and runs on tile
-// edges) and under a search budget that trips, repaired segments and vias
-// (in order), every RepairReport field, and the knock-knee and
-// terminal-riser findings must be byte-identical.
+// Differential proof of the goal-bounded tiled-bitmap repair router and the
+// box lookups against the point-hashing references (repair_oracle.hpp):
+// across the fault matrix on four families, three layer counts and both via
+// rules, across random small layouts (same-edge overlapping runs,
+// collisions, stacked boxes) and across layouts that span several 64 x 64
+// router tiles (the doctor benchmark's layouts, random ones with boxes and
+// runs on tile edges), repaired segments and vias (in order), every
+// RepairReport field, and the knock-knee and terminal-riser findings must
+// be byte-identical. Under a search budget that trips, production must
+// equal the same-budget reference when that routes every ripped edge, and
+// the reference with no budget when production does (budget_repair).
+// On long-edge deletions in hypercube(10..12), too large for the point
+// hashing, the router is held to a copy of the plain tiled BFS
+// (bfs_oracle.hpp): the same bytes from a tenth of the cells.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +23,13 @@
 #include <vector>
 
 #include "analysis/lint.hpp"
+#include "bfs_oracle.hpp"
 #include "core/multilayer.hpp"
 #include "layout/ccc_layout.hpp"
 #include "layout/ghc_layout.hpp"
 #include "layout/hypercube_layout.hpp"
 #include "layout/kary_layout.hpp"
+#include "obs/metrics.hpp"
 #include "repair_oracle.hpp"
 #include "robustness/fault_injector.hpp"
 #include "robustness/repair.hpp"
@@ -62,34 +69,89 @@ std::string render(const LayoutGeometry& geom) {
 
 struct Tally {
   int cases = 0, rerouted = 0, failed = 0, disagreements = 0;
+  /// Budget cases the reference gave up on and production finished.
+  int finished_under_budget = 0;
 };
 
-/// Repair `geom` with production and reference; true when both leave the
-/// same geometry and report.
-bool same_repair(const Graph& g, const LayoutGeometry& geom,
-                 const RepairOptions& opt, const std::string& ctx, Tally& t) {
-  LayoutGeometry got_geom = geom, want_geom = geom;
-  const RepairReport got = robustness::repair_layout(g, got_geom, opt);
-  const RepairReport want = oracle::repair_points(g, want_geom, opt);
-  ++t.cases;
-  t.rerouted += static_cast<int>(got.rerouted.size());
-  t.failed += static_cast<int>(got.failed.size());
+/// A repaired geometry and the report that came with it.
+struct Repaired {
+  LayoutGeometry geom;
+  RepairReport rep;
+};
+
+Repaired production(const Graph& g, const LayoutGeometry& geom,
+                    const RepairOptions& opt) {
+  Repaired r{geom, {}};
+  r.rep = robustness::repair_layout(g, r.geom, opt);
+  return r;
+}
+
+Repaired reference(const Graph& g, const LayoutGeometry& geom,
+                   const RepairOptions& opt) {
+  Repaired r{geom, {}};
+  r.rep = oracle::repair_points(g, r.geom, opt);
+  return r;
+}
+
+/// True when both repairs left the same geometry and report; reports each
+/// difference.
+bool agree(const Repaired& got, const Repaired& want, const std::string& ctx) {
   bool ok = true;
   auto check = [&](bool cond, const char* what) {
     if (cond) return;
     ADD_FAILURE() << ctx << ": " << what << " differs";
     ok = false;
   };
-  check(render(got_geom) == render(want_geom), "repaired geometry");
-  check(got.ok == want.ok, "ok");
-  check(got.passes == want.passes, "passes");
-  check(got.ripped == want.ripped, "ripped");
-  check(got.rerouted == want.rerouted, "rerouted");
-  check(got.failed == want.failed, "failed");
-  check(fields(got.unrepairable) == fields(want.unrepairable), "unrepairable");
-  check(fields(got.remaining) == fields(want.remaining), "remaining");
+  check(render(got.geom) == render(want.geom), "repaired geometry");
+  check(got.rep.ok == want.rep.ok, "ok");
+  check(got.rep.passes == want.rep.passes, "passes");
+  check(got.rep.ripped == want.rep.ripped, "ripped");
+  check(got.rep.rerouted == want.rep.rerouted, "rerouted");
+  check(got.rep.failed == want.rep.failed, "failed");
+  check(fields(got.rep.unrepairable) == fields(want.rep.unrepairable),
+        "unrepairable");
+  check(fields(got.rep.remaining) == fields(want.rep.remaining), "remaining");
+  return ok;
+}
+
+void tally(const Repaired& got, Tally& t) {
+  ++t.cases;
+  t.rerouted += static_cast<int>(got.rep.rerouted.size());
+  t.failed += static_cast<int>(got.rep.failed.size());
+}
+
+/// Repair `geom` with production and reference; true when both leave the
+/// same geometry and report.
+bool same_repair(const Graph& g, const LayoutGeometry& geom,
+                 const RepairOptions& opt, const std::string& ctx, Tally& t) {
+  const Repaired got = production(g, geom, opt);
+  tally(got, t);
+  const bool ok = agree(got, reference(g, geom, opt), ctx);
   if (!ok) ++t.disagreements;
   return ok;
+}
+
+/// Repair `geom` under a search budget that may trip. Production's pruned
+/// searches enter fewer cells than the reference's plain BFS, so a route
+/// the budget cuts short in the reference can finish in production. Two
+/// things hold all the same: when the reference routes every ripped edge,
+/// production equals it; when production reports no failure, it equals the
+/// reference run with no budget.
+void budget_repair(const Graph& g, const LayoutGeometry& geom,
+                   const RepairOptions& opt, const std::string& ctx,
+                   Tally& t) {
+  const Repaired got = production(g, geom, opt);
+  tally(got, t);
+  const Repaired want = reference(g, geom, opt);
+  bool ok = true;
+  if (want.rep.failed.empty()) ok = agree(got, want, ctx + " (same budget)");
+  if (got.rep.failed.empty() && !want.rep.failed.empty()) {
+    RepairOptions unbounded = opt;
+    unbounded.max_search_cells = UINT64_MAX;
+    ok = agree(got, reference(g, geom, unbounded), ctx + " (no budget)");
+    ++t.finished_under_budget;
+  }
+  if (!ok) ++t.disagreements;
 }
 
 /// Production findings of one lint rule, in emission order.
@@ -348,17 +410,19 @@ TEST(RepairOracle, RandomLayoutsAgree) {
 }
 
 /// Routes that find no path would search every cell of a 200 x 200 x 64
-/// grid; the budget keeps the reference router's hash tables small.
+/// grid; the budget keeps the reference router's hash tables small. It
+/// trips, so the cases are held to budget_repair's two properties.
 TEST(RepairOracle, RandomTiledLayoutsAgree) {
   Tally t;
   for (std::uint64_t seed = 0; seed < 80; ++seed) {
     const Random r = random_layout(seed, /*tiled=*/true);
     for (ViaRule rule : kRules)
-      same_repair(r.g, r.geom, {.rule = rule, .max_search_cells = 1u << 16},
-                  "tiled seed " + std::to_string(seed), t);
+      budget_repair(r.g, r.geom, {.rule = rule, .max_search_cells = 1u << 16},
+                    "tiled seed " + std::to_string(seed), t);
   }
   EXPECT_EQ(t.disagreements, 0);
   EXPECT_GT(t.rerouted, 300);
+  EXPECT_GT(t.finished_under_budget, 0);
 }
 
 /// Under the transparent rule a via routed earlier in a pass still blocks
@@ -448,20 +512,21 @@ TEST(RepairOracle, SearchBudgetTripsIdentically) {
       LayoutGeometry geom = ml.geom;
       ASSERT_TRUE(robustness::inject(robustness::FaultKind::kUnrouteEdge,
                                      f.o.graph, geom, seed));
-      same_repair(f.o.graph, geom,
-                  {.rule = ViaRule::kBlocking, .max_search_cells = budget},
-                  "budget " + std::to_string(budget) + " seed " +
-                      std::to_string(seed),
-                  t);
+      budget_repair(f.o.graph, geom,
+                    {.rule = ViaRule::kBlocking, .max_search_cells = budget},
+                    "budget " + std::to_string(budget) + " seed " +
+                        std::to_string(seed),
+                    t);
     }
   for (std::uint64_t seed = 0; seed < 400; ++seed) {
     const Random r = random_layout(seed);
-    same_repair(r.g, r.geom, {.max_search_cells = seed % 40},
-                "random budget seed " + std::to_string(seed), t);
+    budget_repair(r.g, r.geom, {.max_search_cells = seed % 40},
+                  "random budget seed " + std::to_string(seed), t);
   }
   EXPECT_EQ(t.disagreements, 0);
   EXPECT_GT(t.failed, 20);    // the budget tripped
   EXPECT_GT(t.rerouted, 20);  // and sometimes sufficed
+  EXPECT_GT(t.finished_under_budget, 0);  // where the plain BFS's did not
 }
 
 /// The same on layouts whose searches span several tiles before the budget
@@ -475,20 +540,83 @@ TEST(RepairOracle, SearchBudgetTripsIdenticallyAcrossTiles) {
       LayoutGeometry geom = ml.geom;
       ASSERT_TRUE(robustness::inject(robustness::FaultKind::kUnrouteEdge,
                                      o.graph, geom, seed));
-      same_repair(o.graph, geom,
-                  {.rule = ViaRule::kBlocking, .max_search_cells = budget},
-                  "hypercube(7) budget " + std::to_string(budget) + " seed " +
-                      std::to_string(seed),
-                  t);
+      budget_repair(o.graph, geom,
+                    {.rule = ViaRule::kBlocking, .max_search_cells = budget},
+                    "hypercube(7) budget " + std::to_string(budget) +
+                        " seed " + std::to_string(seed),
+                    t);
     }
   for (std::uint64_t seed = 0; seed < 60; ++seed) {
     const Random r = random_layout(seed, /*tiled=*/true);
-    same_repair(r.g, r.geom, {.max_search_cells = seed * 97 % 6000},
-                "tiled budget seed " + std::to_string(seed), t);
+    budget_repair(r.g, r.geom, {.max_search_cells = seed * 97 % 6000},
+                  "tiled budget seed " + std::to_string(seed), t);
   }
   EXPECT_EQ(t.disagreements, 0);
   EXPECT_GT(t.failed, 10);
   EXPECT_GT(t.rerouted, 10);
+  EXPECT_GT(t.finished_under_budget, 0);
+}
+
+// ---- Long edges at scale ---------------------------------------------------
+
+/// Long edges make the plain BFS flood the grid around the source before it
+/// reaches the far terminal. On hypercube(10..12) at L = 2 and 8, with one
+/// edge unrouted at a time and with the `seg` records at 10%, 50% and 90%
+/// of the list deleted together, the goal-bounded router must leave the
+/// plain BFS's bytes and report, enter fewer cells in every case and at
+/// most a tenth of the plain BFS's cells over each layout's cases (a work
+/// count, not a timing).
+TEST(RepairOracle, LongEdgeDeletionsAgree) {
+  int cases = 0;
+  for (std::uint32_t n : {10u, 11u, 12u}) {
+    const Orthogonal2Layer o = layout::layout_hypercube(n);
+    const EdgeId edges = o.graph.num_edges();
+    for (std::uint32_t L : {2u, 8u}) {
+      const std::string layout =
+          "hypercube(" + std::to_string(n) + ") L=" + std::to_string(L);
+      const MultilayerLayout ml = realize(o, {.L = L});
+      const RepairOptions opt{.rule = ml.required_rule};
+      std::vector<std::pair<std::string, LayoutGeometry>> faults;
+      for (EdgeId e : {EdgeId{0}, edges / 2, edges - 1}) {
+        LayoutGeometry geom = ml.geom;
+        std::erase_if(geom.segs, [&](const WireSeg& s) { return s.edge == e; });
+        std::erase_if(geom.vias, [&](const Via& v) { return v.edge == e; });
+        faults.emplace_back("edge " + std::to_string(e) + " unrouted",
+                            std::move(geom));
+      }
+      LayoutGeometry cut = ml.geom;
+      const std::size_t segs = cut.segs.size();
+      for (std::size_t tenth : {9u, 5u, 1u})
+        cut.segs.erase(cut.segs.begin() +
+                       static_cast<std::ptrdiff_t>(segs * tenth / 10));
+      faults.emplace_back("segs at 10/50/90% deleted", std::move(cut));
+
+      std::uint64_t cells = 0, plain_cells = 0;
+      for (const auto& [what, geom] : faults) {
+        const std::string ctx = layout + " " + what;
+        obs::MetricsRegistry reg;
+        reg.install();
+        const Repaired got = production(o.graph, geom, opt);
+        obs::MetricsRegistry::uninstall();
+        Repaired want{geom, {}};
+        std::uint64_t plain = 0;
+        want.rep = oracle::repair_plain_bfs(o.graph, want.geom, opt, &plain);
+        ++cases;
+        EXPECT_TRUE(got.rep.ok) << ctx;
+        EXPECT_FALSE(got.rep.rerouted.empty()) << ctx;
+        agree(got, want, ctx);
+        const std::uint64_t entered = reg.counter("repair.cells_visited");
+        EXPECT_GT(entered, 0u) << ctx;
+        EXPECT_LT(entered, plain) << ctx;
+        cells += entered;
+        plain_cells += plain;
+      }
+      EXPECT_LE(cells * 10, plain_cells)
+          << layout << ": " << cells << " cells entered, plain BFS "
+          << plain_cells;
+    }
+  }
+  EXPECT_EQ(cases, 24);
 }
 
 }  // namespace
